@@ -54,5 +54,17 @@ def random_portfolios(rng, n, plans_per_agent=3, m=16):
     return portfolios
 
 
+def ragged_portfolios(rng, n, m=16):
+    """Portfolios of 1 to 4 plans per agent, so agents' plan counts differ."""
+    portfolios = []
+    for a in range(n):
+        values = rng.random((int(rng.integers(1, 5)), m))
+        plans = tuple(
+            Plan(v, float(v.mean()), f"plan{i + 1}") for i, v in enumerate(values)
+        )
+        portfolios.append(PlanPortfolio(f"agent{a}", plans))
+    return portfolios
+
+
 def random_goal(rng, m=16, level=5):
     return GoalSignal(level, rng.random(m))

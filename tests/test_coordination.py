@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from datacollective.coordination import (
     global_cost,
     read_portfolio,
     read_portfolio_dir,
+    run_to_dict,
     selection_summary,
     write_cost_trace_csv,
     write_portfolio,
@@ -21,9 +25,33 @@ from datacollective.goals import GoalSignal, standardize
 from helpers import (
     brute_force_minimum,
     cost_oracle,
+    ragged_portfolios,
     random_goal,
     random_portfolios,
 )
+
+# SHA-256 of the JSON of ``run_to_dict`` for every run of a seeded ternary-tree
+# instance with 1-4 plans per agent, keyed by (n, alpha, beta). Recorded from
+# the per-agent reference optimizer; any change to the optimizer's arithmetic
+# or tie rules shows up here.
+PINNED_RUNS = {
+    (1, 0, 0): "7a189c9785acaa8eb7cc81c71b4a97ab5343a8721fec26ec82aca08c661202e4",
+    (1, 0.3, 0.2): "cc23b11ab695473b358bd3862cf3a3be9da6c4abf012d5c356066a0e546b1e7b",
+    (1, 0, 1): "ee7b6caa99974860c8c3da11085bfb10dd3ceb1ddc1d0f4e95966e53876e67ef",
+    (1, 1, 0): "bd4be8aa8bbec87d09d21516e65497e831fcf8cd5a0caa8357266aab5f451519",
+    (2, 0, 0): "f9933a067118903e3d4ef1e68424de1145957ec8a12587626bff2464adf44022",
+    (2, 0.3, 0.2): "459e74b158d2505f6990bb0cf7dab78c1f0a60a69867a1d6fad7dce0be61fe58",
+    (2, 0, 1): "56a8d7a4e675ca521b27a94fb104849adf54b4f497ebd970679f6b83b006a55d",
+    (2, 1, 0): "dff59e571b220bb7e58dc907764a53fbaccf87643094c3b9edafaf8111595435",
+    (7, 0, 0): "88b3356ab1f8fd79a5a305064573147ddbd5699f5b0493d9d03312846d64f0fd",
+    (7, 0.3, 0.2): "0f836cfc1de773b739157f703aeeae00e7e19059df24759b10bf47c49e422be9",
+    (7, 0, 1): "6459feef927b7dd95076a62cb61cfc039c15070067640ba92e82ce22dce10dc8",
+    (7, 1, 0): "b3552b33b92317f95f49e17cc7aada78ed01b66376481257831ab935e8e33958",
+    (40, 0, 0): "86d237a242022bb5bba3a6b26b9991b8fbe12f3999aba211c43ad09b38f243f7",
+    (40, 0.3, 0.2): "37137215adb2c36851aa07d63d3fa48fc526dfe44b0a6ec2ba92f7faffc4695c",
+    (40, 0, 1): "9d50263697650f79ee4979345f0ab8a6d41d53f5f2fdea293f99a528ab8435e6",
+    (40, 1, 0): "95f298475ebeb3c4c852e5c8048f5ee4807e811115df4065ee60820018b4b70e",
+}
 
 
 class TestPlans:
@@ -229,6 +257,42 @@ class TestCoordinate:
         trace = runs[0].cost_trace
         assert trace.shape == (30,)
         assert np.all(trace == trace[-1])
+
+    @pytest.mark.parametrize("key", sorted(PINNED_RUNS), ids=str)
+    def test_ragged_portfolios_match_pinned_runs(self, key):
+        n, alpha, beta = key
+        rng = np.random.default_rng(n)
+        portfolios = ragged_portfolios(rng, n)
+        goal = random_goal(rng)
+        runs = coordinate(
+            portfolios, goal, CostWeights(alpha, beta),
+            iterations=12, repetitions=3, seed=n, children_per_node=3,
+        )
+        payload = json.dumps([run_to_dict(run) for run in runs], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_RUNS[key]
+
+    def test_early_stop_is_per_repetition(self):
+        rng = np.random.default_rng(2)
+        portfolios = ragged_portfolios(rng, 40)
+        goal = random_goal(rng)
+        kwargs = dict(weights=CostWeights(0.3, 0.2), iterations=40, repetitions=6,
+                      seed=2, children_per_node=3)
+        full = coordinate(portfolios, goal, **kwargs)
+        stopped = coordinate(portfolios, goal, early_stop_after=2, **kwargs)
+        stops = []
+        for run_full, run in zip(full, stopped):
+            flat = np.diff(run_full.cost_trace) == 0
+            # First iteration that ends two consecutive flat steps.
+            stop = 1 + next(it for it in range(1, flat.size) if flat[it - 1] and flat[it])
+            stops.append(stop)
+            head = slice(0, stop + 1)
+            assert np.array_equal(run.selections[head], run_full.selections[head])
+            assert np.array_equal(run.global_response[head], run_full.global_response[head])
+            assert np.array_equal(run.cost_trace[head], run_full.cost_trace[head])
+            assert np.all(run.selections[stop:] == run.selections[stop])
+            assert np.all(run.global_response[stop:] == run.global_response[stop])
+            assert np.all(run.cost_trace[stop:] == run.cost_trace[stop])
+        assert len(set(stops)) >= 3
 
 
 class TestSelectionSummary:
