@@ -17,6 +17,16 @@ previous subtree configuration is itself a candidate at every agent, and at
 the root the approximation is exact, so the realized global cost never
 increases across iterations. The top-down pass fixes the root's choice and
 broadcasts which subtrees keep their new configuration.
+
+The tree is stored breadth-first, so the positions at one depth form a
+contiguous range. A position's bottom-up step reads only its children's
+fresh results, which lie one depth deeper, and the previous iteration's
+state. Positions at one depth therefore never read each other, and scoring
+a whole depth at once, deepest first, performs the same floating-point
+operations as visiting the positions one by one. All repetitions share the
+level structure (only the agent placement differs), so one kernel scores
+every candidate of a depth, across all repetitions, as a single
+(repetitions, positions, plans, scenarios) array.
 """
 
 from __future__ import annotations
@@ -48,7 +58,8 @@ class Plan:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise InvalidInputError("plan values must be a non-empty vector")
-        if np.any(vals < 0) or np.any(vals > 1):
+        # Written so that NaN fails the test too.
+        if not np.all((vals >= 0) & (vals <= 1)):
             raise InvalidInputError("plan values must lie in [0, 1]")
         if not 0.0 <= self.local_cost <= 1.0:
             raise InvalidInputError("plan local cost must lie in [0, 1]")
@@ -151,24 +162,6 @@ def global_cost(
     )
 
 
-def _cost_from_stats(
-    aggregate: np.ndarray,
-    goal_std: np.ndarray,
-    stats: np.ndarray,
-    weights: CostWeights,
-) -> float:
-    """Cost with Mean/Var taken from a (count, sum, sumsq) triple."""
-    count, total, sumsq = stats
-    mean = total / count
-    var = max(sumsq / count - mean * mean, 0.0)
-    rss = float(np.sum((standardize(aggregate) - goal_std) ** 2))
-    return (
-        (1.0 - weights.alpha - weights.beta) * rss
-        + weights.alpha * var
-        + weights.beta * mean
-    )
-
-
 @dataclass
 class CoordinationRun:
     """Trace of one repetition: selections, responses and costs per iteration."""
@@ -222,144 +215,147 @@ def coordinate(
 
     rep_seeds = [int(s.generate_state(1, np.uint32)[0])
                  for s in np.random.SeedSequence(seed).spawn(repetitions)]
-    runs = []
-    for rep, rep_seed in enumerate(rep_seeds):
-        topology = build_tree(len(portfolios), children_per_node, rep_seed)
-        runs.append(
-            _run_repetition(
-                portfolios, goal, weights, iterations, topology, rep, early_stop_after
-            )
+    topologies = [build_tree(len(portfolios), children_per_node, s) for s in rep_seeds]
+    selections, responses, traces = _optimize(
+        portfolios, goal, weights, iterations, topologies, early_stop_after
+    )
+    return [
+        CoordinationRun(
+            repetition=rep,
+            topology=topology,
+            selections=selections[rep],
+            global_response=responses[rep],
+            cost_trace=traces[rep],
+            weights=weights,
+            goal_level=goal.level,
         )
-    return runs
+        for rep, topology in enumerate(topologies)
+    ]
 
 
-def _run_repetition(
+def _optimize(
     portfolios: list[PlanPortfolio],
     goal: GoalSignal,
     weights: CostWeights,
     iterations: int,
-    topology: TreeTopology,
-    repetition: int,
+    topologies: list[TreeTopology],
     early_stop_after: int | None,
-) -> CoordinationRun:
-    n = len(portfolios)
-    m = portfolios[0].plan_length
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All repetitions at once: (R, iterations, n) selections in portfolio
+    order, (R, iterations, m) global responses and (R, iterations) costs."""
+    n, m = len(portfolios), portfolios[0].plan_length
+    c = topologies[0].children_per_node
+    order = np.stack([t.order for t in topologies])  # (R, n) agent per position
+    R = order.shape[0]
     goal_std = standardize(goal.values)
-    # Per tree position: the plan value matrix and cost triple per plan.
-    plan_values = [
-        np.stack([p.values for p in portfolios[topology.order[pos]].plans])
-        for pos in range(n)
-    ]
-    plan_stats = [
-        np.stack(
-            [
-                np.array([1.0, p.local_cost, p.local_cost**2])
-                for p in portfolios[topology.order[pos]].plans
-            ]
-        )
-        for pos in range(n)
-    ]
-    children = [topology.children(pos) for pos in range(n)]
+    # Per agent, K plan slots; an agent with fewer plans gets padded slots
+    # that cost +inf, with count 1 so their mean stays finite.
+    K = max(len(p.plans) for p in portfolios)
+    values = np.zeros((n, K, m))
+    plan_stats = np.tile([1.0, 0.0, 0.0], (n, K, 1))
+    padded = np.ones((n, K), dtype=bool)
+    for a, portfolio in enumerate(portfolios):
+        k = len(portfolio.plans)
+        values[a, :k] = [p.values for p in portfolio.plans]
+        plan_stats[a, :k, 1:] = [[p.local_cost, p.local_cost**2] for p in portfolio.plans]
+        padded[a, :k] = False
+    levels = []  # depth d covers positions [s, c*s + 1)
+    s = 0
+    while s < n:
+        levels.append((s, min(c * s + 1, n)))
+        s = levels[-1][1]
+    parent = (np.arange(n) - 1) // c
 
-    sel_prev = np.zeros(n, dtype=np.intp)
-    agg_prev = [np.zeros(m) for _ in range(n)]     # resolved subtree aggregates
-    stats_prev = [np.zeros(3) for _ in range(n)]
-    global_prev = np.zeros(m)
-    stats_global_prev = np.zeros(3)
-    cost_prev = np.inf
+    sel = np.zeros((R, n), dtype=np.intp)  # by tree position
+    agg = np.zeros((R, n, m))              # resolved subtree aggregates
+    stats = np.zeros((R, n, 3))
+    agg_new, stats_new = np.empty_like(agg), np.empty_like(stats)
+    cand = np.empty((R, n), dtype=np.intp)
+    keep = np.empty((R, n), dtype=bool)
+    cost_prev = np.full(R, np.inf)
+    w_rss = 1.0 - weights.alpha - weights.beta
 
-    selections = np.zeros((iterations, n), dtype=np.intp)
-    responses = np.zeros((iterations, m))
-    trace = np.zeros(iterations)
-    flat_streak = 0
+    selections = np.zeros((R, iterations, n), dtype=np.intp)
+    responses = np.zeros((R, iterations, m))
+    trace = np.zeros((R, iterations))
+    stop = np.full(R, iterations)  # iteration a repetition stopped at
+    flat_streak = np.zeros(R, dtype=np.intp)
 
     for it in range(iterations):
-        first = it == 0
-        cand_plan = np.zeros(n, dtype=np.intp)
-        accepted = np.zeros(n, dtype=bool)
-        agg_new = [None] * n
-        stats_new = [None] * n
-
-        # Bottom-up: positions in reverse index order visit children first.
-        for pos in range(n - 1, -1, -1):
-            child_agg = np.zeros(m)
-            child_stats = np.zeros(3)
-            for ch in children[pos]:
-                child_agg += agg_new[ch]
-                child_stats += stats_new[ch]
-            context = global_prev - agg_prev[pos]
-            context_stats = stats_global_prev - stats_prev[pos]
-            base = context + child_agg
-            base_stats = context_stats + child_stats
-            costs = [
-                _cost_from_stats(
-                    base + plan_values[pos][i],
-                    goal_std,
-                    base_stats + plan_stats[pos][i],
-                    weights,
-                )
-                for i in range(plan_values[pos].shape[0])
-            ]
-            best = int(np.argmin(costs))
-            cand_plan[pos] = best
+        # Bottom-up, deepest depth first. Position p's children are
+        # c*p + 1 .. c*p + c, so child j of the depth's l-th position is the
+        # next depth's (c*l + j)-th; summing j in order matches the
+        # one-position-at-a-time sum.
+        for s, e in reversed(levels):
+            child_agg = np.zeros((R, e - s, m))
+            child_stats = np.zeros((R, e - s, 3))
+            for j in range(c):
+                kids = slice(e + j, min(c * e + 1, n), c)
+                k = len(range(n)[kids])  # children with offset j
+                child_agg[:, :k] += agg_new[:, kids]
+                child_stats[:, :k] += stats_new[:, kids]
+            # The previous global response is the root's resolved aggregate.
+            base = agg[:, :1] - agg[:, s:e] + child_agg
+            base_stats = stats[:, :1] - stats[:, s:e] + child_stats
+            agents = order[:, s:e]
+            cand_stats = base_stats[:, :, None] + plan_stats[agents]
+            count, total, sumsq = np.moveaxis(cand_stats, -1, 0)
+            mean = total / count
+            var = np.maximum(sumsq / count - mean * mean, 0.0)
+            # In place where the order of operations allows, to keep few
+            # (R, L, K, m) temporaries alive at once.
+            x = values[agents]
+            x += base[:, :, None]
+            x = standardize(x)
+            x -= goal_std
+            rss = np.sum(np.square(x, out=x), axis=-1)
+            costs = w_rss * rss + weights.alpha * var + weights.beta * mean
+            costs[padded[agents]] = np.inf
+            best = np.argmin(costs, axis=-1)
+            best_cost = costs.min(axis=-1)
             # Reverting the whole subtree to its previous configuration
             # reproduces the previous global response exactly, so its cost is
             # the previous realized cost.
-            if first or costs[best] <= cost_prev:
-                accepted[pos] = True
-                agg_new[pos] = child_agg + plan_values[pos][best]
-                stats_new[pos] = child_stats + plan_stats[pos][best]
-            else:
-                agg_new[pos] = agg_prev[pos]
-                stats_new[pos] = stats_prev[pos]
+            accepted = best_cost <= cost_prev[:, None]
+            cand[:, s:e] = best
+            keep[:, s:e] = accepted
+            agg_new[:, s:e] = np.where(
+                accepted[..., None], child_agg + values[agents, best], agg[:, s:e]
+            )
+            stats_new[:, s:e] = np.where(
+                accepted[..., None], child_stats + plan_stats[agents, best], stats[:, s:e]
+            )
 
         # Top-down: the root's choice is exact; an ancestor's revert discards
-        # every newer choice below it.
-        alive = np.zeros(n, dtype=bool)
-        alive[0] = True
-        sel_new = sel_prev.copy()
-        for pos in range(n):
-            if alive[pos] and accepted[pos]:
-                sel_new[pos] = cand_plan[pos]
-                for ch in children[pos]:
-                    alive[ch] = True
-                agg_prev[pos] = agg_new[pos]
-                stats_prev[pos] = stats_new[pos]
-            # otherwise the subtree keeps its previous resolved state
+        # every newer choice below it. A position takes its new state only if
+        # it and every ancestor accepted.
+        for s, e in levels[1:]:
+            keep[:, s:e] &= keep[:, parent[s:e]]
+        np.copyto(sel, cand, where=keep)
+        np.copyto(agg, agg_new, where=keep[..., None])
+        np.copyto(stats, stats_new, where=keep[..., None])
+        # At the root the candidate cost is the realized cost, bit for bit:
+        # its context is the previous global response minus itself, i.e. zero.
+        cost_prev = np.where(keep[:, 0], best_cost[:, 0], cost_prev)
 
-        global_new = agg_prev[0]
-        stats_global_new = stats_prev[0]
-        cost_new = _cost_from_stats(global_new, goal_std, stats_global_new, weights)
-
-        sel_prev = sel_new
-        global_prev = global_new
-        stats_global_prev = stats_global_new
-        cost_prev = cost_new
-
-        selections[it] = sel_new
-        responses[it] = global_new
-        trace[it] = cost_new
+        selections[:, it] = sel
+        responses[:, it] = agg[:, 0]
+        trace[:, it] = cost_prev
 
         if early_stop_after is not None and it > 0:
-            flat_streak = flat_streak + 1 if trace[it] == trace[it - 1] else 0
-            if flat_streak >= early_stop_after:
-                selections[it + 1 :] = sel_new
-                responses[it + 1 :] = global_new
-                trace[it + 1 :] = cost_new
+            flat = trace[:, it] == trace[:, it - 1]
+            flat_streak = np.where(flat, flat_streak + 1, 0)
+            stop[(stop == iterations) & (flat_streak >= early_stop_after)] = it
+            if np.all(stop < iterations):
                 break
 
-    # Report selections in portfolio order rather than tree order.
-    by_agent = np.empty_like(selections)
-    by_agent[:, topology.order] = selections
-    return CoordinationRun(
-        repetition=repetition,
-        topology=topology,
-        selections=by_agent,
-        global_response=responses,
-        cost_trace=trace,
-        weights=weights,
-        goal_level=goal.level,
-    )
+    # A stopped repetition repeats its final state to full length; selections
+    # are reported in portfolio order rather than tree order.
+    last = np.minimum(np.arange(iterations), stop[:, None])
+    rows = np.arange(R)[:, None]
+    agent_position = np.argsort(order, axis=1)[:, None, :]
+    by_agent = np.take_along_axis(selections[rows, last], agent_position, axis=2)
+    return by_agent, responses[rows, last], trace[rows, last]
 
 
 @dataclass(frozen=True)
@@ -424,13 +420,16 @@ def read_portfolio(
         if ":" not in line:
             raise InvalidInputError(f"{path}:{lineno}: expected 'cost:v1,v2,...'")
         cost_part, _, values_part = line.partition(":")
-        values = np.array([float(v) for v in values_part.split(",")])
         label = (
             labels[len(plans)]
             if labels is not None and len(plans) < len(labels)
             else f"plan{len(plans) + 1}"
         )
-        plans.append(Plan(values=values, local_cost=float(cost_part), label=label))
+        try:
+            values = np.array([float(v) for v in values_part.split(",")])
+            plans.append(Plan(values=values, local_cost=float(cost_part), label=label))
+        except ValueError as exc:  # also InvalidInputError from Plan
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
     return PlanPortfolio(agent_id=agent_id, plans=tuple(plans))
 
 

@@ -41,7 +41,8 @@ class GoalSignal:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise InvalidInputError("goal signal must be a non-empty vector")
-        if np.any(vals < 0) or np.any(vals > 1):
+        # Written so that NaN fails the test too.
+        if not np.all((vals >= 0) & (vals <= 1)):
             raise InvalidInputError("goal signal values must lie in [0, 1]")
 
 
@@ -76,19 +77,17 @@ def build_goal_signals(intrinsic: Sequence[SelectionVector]) -> list[GoalSignal]
 
 
 def standardize(values: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Zero-mean, unit population-variance transform.
+    """Zero-mean, unit population-variance transform along the last axis.
 
     A constant input has no scale to recover; it maps to all zeros rather
     than failing, since a unanimous aggregate is a legitimate outcome.
     """
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InvalidInputError("standardize needs a vector of length >= 2")
-    centered = x - x.mean()
-    sd = np.sqrt(np.mean(centered**2))
-    if sd == 0.0:
-        return np.zeros_like(x)
-    return centered / sd
+    if x.ndim < 1 or x.shape[-1] < 2:
+        raise InvalidInputError("standardize needs vectors of length >= 2")
+    centered = x - x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(np.mean(centered**2, axis=-1, keepdims=True))
+    return np.divide(centered, sd, out=np.zeros_like(centered), where=sd != 0.0)
 
 
 def mismatch(aggregate: np.ndarray | Sequence[float], goal: GoalSignal | np.ndarray) -> MismatchReport:

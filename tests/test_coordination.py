@@ -61,6 +61,13 @@ class TestPlans:
         with pytest.raises(InvalidInputError):
             Plan(np.array([0.5, 0.5]), 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            Plan(np.array([bad, 0.5]), 0.3)
+        with pytest.raises(InvalidInputError):
+            Plan(np.array([0.5, 0.5]), bad)
+
     def test_portfolio_needs_consistent_lengths(self):
         with pytest.raises(InvalidInputError):
             PlanPortfolio(
@@ -357,6 +364,16 @@ class TestPortfolioFiles:
         path = tmp_path / "bad.plans"
         path.write_text("0.5 0.1,0.2\n")
         with pytest.raises(InvalidInputError):
+            read_portfolio(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["0.5:nan,0.2", "0.5:0.1,abc", "0.5:0.1,1.5", "nan:0.1,0.2", "x:0.1,0.2", "0.5:0.1,"],
+    )
+    def test_bad_number_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.plans"
+        path.write_text(f"0.5:0.1,0.2\n\n{line}\n")
+        with pytest.raises(InvalidInputError, match=rf"bad\.plans:3: "):
             read_portfolio(path)
 
     def test_missing_directory(self, tmp_path):

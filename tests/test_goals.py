@@ -53,6 +53,11 @@ class TestGoalSignals:
         with pytest.raises(InvalidInputError):
             GoalSignal(1, np.array([0.2, 1.4]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            GoalSignal(1, np.array([bad, 0.5]))
+
 
 class TestStandardize:
     def test_hand_computed(self):
@@ -81,6 +86,18 @@ class TestStandardize:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError):
             standardize(np.array([1.0]))
+        with pytest.raises(InvalidInputError):
+            standardize(np.ones((3, 1)))
+
+    def test_rows_match_vector_form_exactly(self):
+        rng = np.random.default_rng(8)
+        x = rng.random((2, 3, 64))
+        x[1, 2] = 0.25
+        out = standardize(x)
+        assert out.shape == x.shape
+        assert np.array_equal(out[1, 2], np.zeros(64))
+        for got, row in zip(out.reshape(-1, 64), x.reshape(-1, 64)):
+            assert np.array_equal(got, standardize(row))
 
 
 class TestMismatch:
