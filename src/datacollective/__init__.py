@@ -29,6 +29,7 @@ from .population import (
     extract_groups,
     generate_population,
     simulate_condition,
+    simulate_conditions,
 )
 from .retrieval import (
     IMPROVE_PRIVACY,
@@ -103,6 +104,7 @@ __all__ = [
     "scenario_weight",
     "selection_summary",
     "simulate_condition",
+    "simulate_conditions",
     "standardize",
     "total_weight",
 ]

@@ -43,7 +43,7 @@ from .metrics import (
     write_mismatch_csv,
     write_scenario_privacy_csv,
 )
-from .pipeline import OUTPUT_ENV_VAR, ExperimentConfig, run_pipeline
+from .pipeline import OUTPUT_ENV_VAR, ExperimentConfig, run_pipeline, simulate_stage
 from .population import (
     CONDITIONS,
     INTRINSIC,
@@ -51,16 +51,13 @@ from .population import (
     generate_population,
     load_population_spec,
     population_from_spec,
-    simulate_condition,
 )
-from .retrieval import write_event_log
 from .sharing import (
     Budget,
     RewardModel,
     default_catalog,
     read_catalog,
     read_weight_profiles,
-    write_weight_profiles,
 )
 
 
@@ -189,25 +186,7 @@ def cmd_simulate(args) -> None:
         steps = args.steps
     reward_model = RewardModel(Budget(), args.reward_mode, population.participants[0].behavior.z)
     out = _outdir(args)
-    simulations = {}
-    events_by_condition = {c: [] for c in CONDITIONS}
-    for participant in population.participants:
-        simulations[participant.participant_id] = {}
-        for condition in CONDITIONS:
-            selection, events = simulate_condition(
-                participant, condition, steps, catalog, reward_model,
-                contention=population.contention,
-            )
-            simulations[participant.participant_id][condition] = selection
-            events_by_condition[condition].extend(events)
-    export_responses(out / "selections.csv", simulations)
-    write_weight_profiles(
-        out / "profiles.csv",
-        [p.profile for p in population.participants],
-        catalog,
-    )
-    for condition, events in events_by_condition.items():
-        write_event_log(out / f"events_{condition}.csv", events)
+    simulations = simulate_stage(population, steps, catalog, reward_model, out)
     write_portfolio_dir(out / "portfolios", build_portfolios(simulations))
     print(f"simulated {len(population.participants)} participants -> {out}")
 
@@ -225,21 +204,7 @@ def cmd_ingest(args) -> None:
         for pid, sv in bundle.selection_vectors(condition, catalog.m, args.z).items():
             simulations.setdefault(pid, {})[condition] = sv
     export_responses(out / "selections.csv", simulations)
-    (out / "ingest_report.json").write_text(
-        json.dumps(
-            {
-                "total_rows": report.total_rows,
-                "accepted": report.accepted,
-                "duplicates": report.duplicates,
-                "rejected": report.rejected,
-                "row_errors": report.row_errors[:100],
-                "warnings": report.warnings,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    report.write_json(out / "ingest_report.json")
     print(
         f"ingested {report.accepted}/{report.total_rows} rows "
         f"({report.rejected} rejected, {report.duplicates} duplicates) -> {out}"
@@ -247,7 +212,7 @@ def cmd_ingest(args) -> None:
 
 
 def _selection_vectors_from_csv(path, condition, m, z):
-    bundle, _ = ingest(path, z=z)
+    bundle, _ = ingest(path, z=z, provenance=str(path))
     vectors = bundle.selection_vectors(condition, m, z)
     if not vectors:
         raise DataCollectiveError(

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import IngestError, InvalidInputError
 from .sharing import ScenarioCatalog, SelectionVector, WeightProfile, read_weight_profiles
 
 REQUIRED_COLUMNS = ("participant_id", "condition", "scenario_id", "selection")
@@ -54,6 +54,18 @@ class IngestReport:
     def rejected(self) -> int:
         return len(self.row_errors)
 
+    def write_json(self, path: str | Path) -> None:
+        """Write the counts, the first 100 row errors and the warnings."""
+        payload = {
+            "total_rows": self.total_rows,
+            "accepted": self.accepted,
+            "duplicates": self.duplicates,
+            "rejected": self.rejected,
+            "row_errors": self.row_errors[:100],
+            "warnings": self.warnings,
+        }
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
 
 @dataclass(frozen=True)
 class DatasetBundle:
@@ -73,7 +85,8 @@ class DatasetBundle:
         self, condition: str, m: int, z: int = 5
     ) -> dict[str, SelectionVector]:
         """Per-participant vectors for one condition; participants with an
-        incomplete set of scenarios are skipped."""
+        incomplete set of scenarios are skipped. A scenario id outside 1..m
+        raises, since the archive and the catalog then disagree."""
         per_participant: dict[str, dict[int, int]] = {}
         for row in self.responses:
             if row.condition != condition:
@@ -82,6 +95,12 @@ class DatasetBundle:
         vectors = {}
         for pid in sorted(per_participant):
             answers = per_participant[pid]
+            outside = sorted(j for j in answers if not 1 <= j <= m)
+            if outside:
+                raise InvalidInputError(
+                    f"{self.provenance or 'dataset'}: participant '{pid}' answers "
+                    f"scenario ids {outside} outside 1..{m} in condition '{condition}'"
+                )
             if len(answers) != m:
                 continue
             vectors[pid] = SelectionVector(

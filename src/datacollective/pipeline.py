@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import platform
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +55,8 @@ from .population import (
     REWARDED2,
     RNG_ALGORITHM,
     build_portfolios,
-    default_behaviors,
-    generate_population,
-    simulate_condition,
+    population_from_spec,
+    simulate_conditions,
 )
 from .retrieval import write_event_log
 from .sharing import (
@@ -162,14 +161,6 @@ class ExperimentConfig:
             z=self.z,
         )
 
-    def behaviors(self):
-        behaviors = default_behaviors(self.z)
-        for kind, drift in (self.drift_overrides or {}).items():
-            if kind not in behaviors:
-                raise InvalidInputError(f"unknown group '{kind}' in drift_overrides")
-            behaviors[kind] = replace(behaviors[kind], drift=drift)
-        return behaviors
-
 
 def run_pipeline(config: ExperimentConfig) -> Path:
     """Execute all stages; returns the artifact directory.
@@ -212,6 +203,9 @@ def _stage(name: str, thunk):
         raise
     except (DataCollectiveError, OSError, ValueError) as exc:
         raise PipelineError(name, str(exc)) from exc
+    except (KeyError, IndexError) as exc:
+        # a bare lookup error reads as just the key, so name its type too
+        raise PipelineError(name, repr(exc)) from exc
 
 
 def _collect_selections(config, catalog, reward_model, out: Path):
@@ -226,21 +220,7 @@ def _collect_selections(config, catalog, reward_model, out: Path):
             z=config.z,
             provenance=str(config.responses_path),
         )
-        (out / "ingest_report.json").write_text(
-            json.dumps(
-                {
-                    "total_rows": report.total_rows,
-                    "accepted": report.accepted,
-                    "duplicates": report.duplicates,
-                    "rejected": report.rejected,
-                    "row_errors": report.row_errors[:100],
-                    "warnings": report.warnings,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        report.write_json(out / "ingest_report.json")
         simulations = {}
         for condition in CONDITIONS:
             for pid, sv in bundle.selection_vectors(condition, catalog.m, config.z).items():
@@ -256,35 +236,37 @@ def _collect_selections(config, catalog, reward_model, out: Path):
             raise InvalidInputError(f"missing weight profiles for {missing[:5]}")
         return simulations, profiles
 
-    population = generate_population(
-        config.n,
-        mix=config.group_mix,
-        master_seed=config.master_seed,
-        catalog=catalog,
-        behaviors=config.behaviors(),
-    )
-    simulations = {}
-    events_by_condition = {c: [] for c in CONDITIONS}
-    for participant in population.participants:
-        simulations[participant.participant_id] = {}
-        for condition in CONDITIONS:
-            selection, events = simulate_condition(
-                participant, condition, config.steps, catalog, reward_model,
-                contention=population.contention,
-            )
-            simulations[participant.participant_id][condition] = selection
-            events_by_condition[condition].extend(events)
-    profiles = {p.participant_id: p.profile for p in population.participants}
-
-    export_responses(out / "selections.csv", simulations)
-    write_weight_profiles(out / "profiles.csv", profiles.values(), catalog)
-    for condition, events in events_by_condition.items():
-        write_event_log(out / f"events_{condition}.csv", events)
+    spec = {
+        "n": config.n, "mix": config.group_mix, "seed": config.master_seed,
+        "z": config.z, "drift_overrides": config.drift_overrides,
+    }
+    population = population_from_spec(spec, catalog)
+    simulations = simulate_stage(population, config.steps, catalog, reward_model, out)
     groups = {
         p.participant_id: p.behavior.kind for p in population.participants
     }
     (out / "groups.json").write_text(json.dumps(groups, indent=2, sort_keys=True) + "\n")
+    profiles = {p.participant_id: p.profile for p in population.participants}
     return simulations, profiles
+
+
+def simulate_stage(population, steps: int, catalog, reward_model, out: Path):
+    """Simulate every condition of a synthetic population and write the
+    selections, the weight profiles and one event log per condition."""
+    simulations = {p.participant_id: {} for p in population.participants}
+    for condition in CONDITIONS:
+        run = simulate_conditions(
+            population.participants, condition, steps, catalog, reward_model,
+            contention=population.contention,
+        )
+        for participant, selection in zip(population.participants, run.selections):
+            simulations[participant.participant_id][condition] = selection
+        write_event_log(out / f"events_{condition}.csv", run.events)
+    export_responses(out / "selections.csv", simulations)
+    write_weight_profiles(
+        out / "profiles.csv", [p.profile for p in population.participants], catalog
+    )
+    return simulations
 
 
 def _goals_stage(simulations, out: Path, z: int, m: int):

@@ -15,11 +15,22 @@ Populations are generated deterministically from a master seed (numpy PCG64
 streams), and each participant's three conditions yield a plan portfolio for
 coordination. Group extraction from (intrinsic, rewarded) privacy pairs uses
 seeded k-means++ with Lloyd iterations.
+
+The dilemma loop runs in ``simulate_conditions``, which steps all
+participants of a condition in lockstep on arrays (one reward table, one
+selection matrix, vectorized retrieval and improvement boxes). It matches the
+single-step path through ``retrieval`` byte for byte: every logged balance is
+a full re-sum over all scenarios, never a running total; row-wise sums and
+means of a C-contiguous (n, m) array equal those of each row on its own; and
+each participant draws from its own condition stream with the same calls in
+the same order (``integers(0, box size)`` is what ``choice`` over the sorted
+box draws).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -28,15 +39,7 @@ import numpy as np
 
 from .coordination import Plan, PlanPortfolio
 from .errors import IncompletePortfolioError, InvalidInputError
-from .retrieval import (
-    IMPROVE_PRIVACY,
-    IMPROVE_REWARDS,
-    BalanceState,
-    Event,
-    apply_choice,
-    improvement_box,
-    retrieve_next,
-)
+from .retrieval import IMPROVE_PRIVACY, IMPROVE_REWARDS, Event
 from .sharing import (
     RewardModel,
     ScenarioCatalog,
@@ -46,6 +49,8 @@ from .sharing import (
 )
 
 RNG_ALGORITHM = "numpy-pcg64"  # recorded in manifests for portability
+
+logger = logging.getLogger("datacollective")
 
 PRIVACY_IGNORANT = "privacy_ignorant"
 PRIVACY_NEUTRAL = "privacy_neutral"
@@ -285,6 +290,140 @@ def _condition_rng(participant: Participant, condition: str) -> np.random.Genera
     )
 
 
+@dataclass(frozen=True)
+class ConditionRun:
+    """One condition for a group of participants: selections in participant
+    order, events participant-major then by step, and the participants who
+    saturated (nothing left to improve) before the last step with the steps
+    they did not take."""
+
+    selections: tuple[SelectionVector, ...]
+    events: list[Event]
+    saturated: int
+    lost_steps: int
+
+
+def simulate_conditions(
+    participants: Sequence[Participant],
+    condition: str,
+    steps: int,
+    catalog: ScenarioCatalog | None = None,
+    reward_model: RewardModel | None = None,
+    contention: np.ndarray | None = None,
+) -> ConditionRun:
+    """Simulate one condition for every participant, all in lockstep.
+
+    Unrewarded: each scenario is answered once from the intrinsic policy,
+    polarized toward the group's extreme level on contentious scenarios.
+    Rewarded: the first pass answers all scenarios from the rewarded policy,
+    then the remaining steps are reassessment rounds: the group drift biases
+    the chosen goal, the scenario whose best option most improves it is
+    retrieved (the other goal when that one is saturated), and the applied
+    option is drawn uniformly from the improvement box. A participant with
+    nothing left to improve in either direction stops early.
+    """
+    if condition not in CONDITIONS:
+        raise InvalidInputError(f"unknown condition '{condition}'")
+    catalog = catalog or default_catalog()
+    reward_model = reward_model or RewardModel()
+    z, m, n = reward_model.z, catalog.m, len(participants)
+    if any(p.behavior.z != z for p in participants):
+        raise InvalidInputError("behavior policies do not cover the level count")
+    rewarded = condition != INTRINSIC
+    if rewarded and steps < m:
+        raise InvalidInputError("rewarded conditions need steps >= scenario count")
+    rngs = [_condition_rng(p, condition) for p in participants]
+    levels = np.arange(1, z + 1)
+    first = np.array([
+        rng.choice(levels, size=m, p=p.behavior.rewarded_policy) if rewarded
+        else _draw_intrinsic(p.behavior, m, rng, contention)
+        for p, rng in zip(participants, rngs)
+    ], dtype=np.intp).reshape(n, m)
+    rmax = np.array([reward_model.max_rewards(p.profile, catalog) for p in participants])
+    table = reward_model.option_rewards(rmax.reshape(n, m, 1), levels)  # (n, m, z)
+
+    # Unanswered scenarios count as share-nothing. ``gained`` and ``privacy``
+    # hold each scenario's reward and normalized privacy at its current
+    # level; every logged balance is a full row-wise re-sum of them. The log
+    # has one column per step; goal 0 is the first pass, 1 rewards, 2 privacy.
+    length = steps if rewarded else m
+    selections = np.full((n, m), z, dtype=np.intp)
+    gained = table[:, :, z - 1].copy()
+    privacy = (selections - 1) / (z - 1)
+    goal, scenario_id, option_log = (np.zeros((n, length), dtype=np.intp) for _ in range(3))
+    rewards_after, privacy_after = np.zeros((n, length)), np.zeros((n, length))
+
+    def apply(who, scenario, option, step):
+        selections[who, scenario] = option
+        gained[who, scenario] = table[who, scenario, option - 1]
+        privacy[who, scenario] = (option - 1) / (z - 1)
+        scenario_id[who, step] = scenario + 1
+        option_log[who, step] = option
+        rewards_after[who, step] = gained[who].sum(axis=1)
+        privacy_after[who, step] = privacy[who].mean(axis=1)
+
+    active = np.arange(n)
+    for j in range(m):
+        apply(active, j, first[:, j], j)
+    taken = np.full(n, length)
+    p_privacy = np.array([min(1.0, max(0.0, 0.5 + p.behavior.drift)) for p in participants])
+    best_gained = table.max(axis=2)
+    for step in range(m, length):
+        wants_privacy = np.array([rngs[i].random() for i in active.tolist()]) < p_privacy[active]
+        # Privacy gains are linear in the level, so the lowest level gains
+        # most; reward gains are the best option's reward minus the current.
+        # argmin/argmax break ties toward the lowest scenario id.
+        sel, at = selections[active], np.arange(active.size)
+        privacy_target = np.argmin(sel, axis=1)
+        privacy_open = sel[at, privacy_target] < z
+        reward_gain = best_gained[active] - gained[active]
+        reward_target = np.argmax(reward_gain, axis=1)
+        reward_open = reward_gain[at, reward_target] > 0
+        served = privacy_open | reward_open
+        taken[active[~served]] = step
+        active = active[served]
+        if active.size == 0:
+            break
+        # the wanted goal, or the other one when the wanted one is saturated
+        privacy_goal = np.where(wants_privacy, privacy_open, ~reward_open)[served]
+        scenario = np.where(privacy_goal, privacy_target[served], reward_target[served])
+        current = selections[active, scenario]
+        box = np.where(
+            privacy_goal[:, None],
+            levels > current[:, None],
+            table[active, scenario] > gained[active, scenario][:, None],
+        )
+        picks = np.array([
+            rngs[i].integers(0, size)
+            for i, size in zip(active.tolist(), box.sum(axis=1).tolist())
+        ])
+        option = np.argmax(np.cumsum(box, axis=1) > picks[:, None], axis=1) + 1
+        goal[active, step] = 1 + privacy_goal
+        apply(active, scenario, option, step)
+
+    goal_names = ("first_pass", IMPROVE_REWARDS, IMPROVE_PRIVACY)
+    events = []
+    for i, participant in enumerate(participants):
+        k = int(taken[i])
+        events.extend(map(
+            Event, [participant.participant_id] * k, range(1, k + 1),
+            [goal_names[g] for g in goal[i, :k].tolist()],
+            *(column[i, :k].tolist()
+              for column in (scenario_id, option_log, rewards_after, privacy_after)),
+        ))
+    saturated = int(np.count_nonzero(taken < length))
+    lost_steps = int((length - taken).sum())
+    if saturated:
+        logger.info(
+            "%s: %d of %d participants saturated early, %d steps not taken",
+            condition, saturated, n, lost_steps,
+        )
+    return ConditionRun(
+        tuple(SelectionVector(row, z) for row in selections.copy()),
+        events, saturated, lost_steps,
+    )
+
+
 def simulate_condition(
     participant: Participant,
     condition: str,
@@ -293,67 +432,11 @@ def simulate_condition(
     reward_model: RewardModel | None = None,
     contention: np.ndarray | None = None,
 ) -> tuple[SelectionVector, list[Event]]:
-    """Simulate one condition for one participant.
-
-    Unrewarded: each scenario is answered once from the intrinsic policy,
-    polarized toward the group's extreme level on contentious scenarios.
-    Rewarded: the first pass answers all scenarios from the rewarded policy,
-    then the remaining steps are reassessment rounds driven through the
-    retrieval engine; the group drift biases the chosen goal, and the applied
-    option is drawn uniformly from the improvement box.
-    """
-    if condition not in CONDITIONS:
-        raise InvalidInputError(f"unknown condition '{condition}'")
-    catalog = catalog or default_catalog()
-    reward_model = reward_model or RewardModel()
-    z = reward_model.z
-    m = catalog.m
-    behavior = participant.behavior
-    if behavior.z != z:
-        raise InvalidInputError("behavior policies do not cover the level count")
-    rng = _condition_rng(participant, condition)
-    rmax = reward_model.max_rewards(participant.profile, catalog)
-    pid = participant.participant_id
-
-    if condition == INTRINSIC:
-        first_pass = _draw_intrinsic(behavior, m, rng, contention)
-    else:
-        first_pass = rng.choice(np.arange(1, z + 1), size=m, p=behavior.rewarded_policy)
-    events = []
-    # Unanswered scenarios count as share-nothing, so the balance builds up
-    # question by question exactly as the log replays it.
-    running = SelectionVector(np.full(m, z, dtype=np.intp), z)
-    running_state = BalanceState.from_selection(running, rmax, reward_model)
-    for j in range(1, m + 1):
-        running_state = apply_choice(running_state, j, int(first_pass[j - 1]))
-        events.append(
-            Event(pid, j, "first_pass", j, int(first_pass[j - 1]),
-                  running_state.accumulated_rewards, running_state.privacy)
-        )
-    state = running_state
-
-    if condition == INTRINSIC:
-        return state.selection, events
-
-    if steps < m:
-        raise InvalidInputError("rewarded conditions need steps >= scenario count")
-    p_privacy = min(1.0, max(0.0, 0.5 + behavior.drift))
-    for step in range(m + 1, steps + 1):
-        goal = IMPROVE_PRIVACY if rng.random() < p_privacy else IMPROVE_REWARDS
-        scenario_id = retrieve_next(state, goal)
-        if scenario_id is None:
-            goal = IMPROVE_REWARDS if goal == IMPROVE_PRIVACY else IMPROVE_PRIVACY
-            scenario_id = retrieve_next(state, goal)
-            if scenario_id is None:
-                break  # both directions saturated, nothing left to serve
-        box = sorted(improvement_box(state, scenario_id, goal))
-        option = int(rng.choice(box))
-        state = apply_choice(state, scenario_id, option)
-        events.append(
-            Event(pid, step, goal, scenario_id, option,
-                  state.accumulated_rewards, state.privacy)
-        )
-    return state.selection, events
+    """Simulate one condition for one participant (see simulate_conditions)."""
+    run = simulate_conditions(
+        [participant], condition, steps, catalog, reward_model, contention
+    )
+    return run.selections[0], run.events
 
 
 def _draw_intrinsic(
@@ -397,18 +480,16 @@ def simulate_population(
     """Run the requested conditions for every participant.
 
     Returns {participant_id: {condition: SelectionVector}}. Event logs are
-    dropped here; use simulate_condition directly when the log matters.
+    dropped here; use simulate_conditions directly when the log matters.
     """
-    results: dict[str, dict[str, SelectionVector]] = {}
-    for participant in population.participants:
-        per_condition = {}
-        for condition in conditions:
-            selection, _ = simulate_condition(
-                participant, condition, steps, catalog, reward_model,
-                contention=population.contention,
-            )
-            per_condition[condition] = selection
-        results[participant.participant_id] = per_condition
+    results = {p.participant_id: {} for p in population.participants}
+    for condition in conditions:
+        run = simulate_conditions(
+            population.participants, condition, steps, catalog, reward_model,
+            contention=population.contention,
+        )
+        for participant, selection in zip(population.participants, run.selections):
+            results[participant.participant_id][condition] = selection
     return results
 
 

@@ -6,6 +6,17 @@ import numpy as np
 
 from datacollective.coordination import Plan, PlanPortfolio
 from datacollective.goals import GoalSignal
+from datacollective.population import INTRINSIC, _condition_rng, _draw_intrinsic
+from datacollective.retrieval import (
+    IMPROVE_PRIVACY,
+    IMPROVE_REWARDS,
+    BalanceState,
+    Event,
+    apply_choice,
+    improvement_box,
+    retrieve_next,
+)
+from datacollective.sharing import SelectionVector
 
 
 def standardize_oracle(x):
@@ -68,3 +79,57 @@ def ragged_portfolios(rng, n, m=16):
 
 def random_goal(rng, m=16, level=5):
     return GoalSignal(level, rng.random(m))
+
+
+def simulate_condition_oracle(
+    participant, condition, steps, catalog, reward_model, contention=None
+):
+    """One participant's condition, one validated step at a time.
+
+    The reference the lockstep kernel is checked against: every step goes
+    through the public single-step API (BalanceState, retrieve_next,
+    improvement_box, apply_choice) and draws from the participant's own
+    condition stream in the same order. Returns (selection, events, lost
+    steps).
+    """
+    z = reward_model.z
+    m = catalog.m
+    behavior = participant.behavior
+    rng = _condition_rng(participant, condition)
+    rmax = reward_model.max_rewards(participant.profile, catalog)
+    pid = participant.participant_id
+
+    if condition == INTRINSIC:
+        first_pass = _draw_intrinsic(behavior, m, rng, contention)
+    else:
+        first_pass = rng.choice(np.arange(1, z + 1), size=m, p=behavior.rewarded_policy)
+    events = []
+    state = BalanceState.from_selection(
+        SelectionVector(np.full(m, z, dtype=np.intp), z), rmax, reward_model
+    )
+    for j in range(1, m + 1):
+        state = apply_choice(state, j, int(first_pass[j - 1]))
+        events.append(
+            Event(pid, j, "first_pass", j, int(first_pass[j - 1]),
+                  state.accumulated_rewards, state.privacy)
+        )
+    if condition == INTRINSIC:
+        return state.selection, events, 0
+
+    p_privacy = min(1.0, max(0.0, 0.5 + behavior.drift))
+    for step in range(m + 1, steps + 1):
+        goal = IMPROVE_PRIVACY if rng.random() < p_privacy else IMPROVE_REWARDS
+        scenario_id = retrieve_next(state, goal)
+        if scenario_id is None:
+            goal = IMPROVE_REWARDS if goal == IMPROVE_PRIVACY else IMPROVE_PRIVACY
+            scenario_id = retrieve_next(state, goal)
+            if scenario_id is None:
+                return state.selection, events, steps + 1 - step
+        box = sorted(improvement_box(state, scenario_id, goal))
+        option = int(rng.choice(box))
+        state = apply_choice(state, scenario_id, option)
+        events.append(
+            Event(pid, step, goal, scenario_id, option,
+                  state.accumulated_rewards, state.privacy)
+        )
+    return state.selection, events, 0

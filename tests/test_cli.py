@@ -100,6 +100,19 @@ def test_cli_reports_errors(tmp_path):
                  "--goal-file", str(tmp_path / "none.csv")]) == 1
 
 
+def test_goals_rejects_out_of_range_scenario_id(tmp_path, capsys):
+    selections = tmp_path / "selections.csv"
+    rows = [f"p1,intrinsic,{j},3,0" for j in [*range(1, 64), 65]]
+    selections.write_text(
+        "participant_id,condition,scenario_id,selection,timestamp\n"
+        + "\n".join(rows) + "\n"
+    )
+    assert main(["goals", "--selections", str(selections), "--out", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert str(selections) in err and "'p1'" in err and "[65]" in err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from datacollective.errors import InvalidInputError, PipelineError
+from datacollective import pipeline
 from datacollective.pipeline import ExperimentConfig, run_pipeline
 
 
@@ -50,6 +51,17 @@ class TestConfig:
             run_pipeline(config)
         assert err.value.stage == "validate"
         assert not (tmp_path / "out").exists()  # no partial outputs
+
+    @pytest.mark.parametrize("error", [KeyError(64), IndexError("index 64 is out of bounds")])
+    def test_lookup_error_names_its_stage(self, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pipeline, "build_goal_signals", fail)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(small_config(tmp_path / "out", n=4, steps=64))
+        assert err.value.stage == "goals"
+        assert type(error).__name__ in str(err.value)
 
     def test_validation_checks_weights(self, tmp_path):
         config = small_config(tmp_path / "out", alpha=0.9, beta=0.9)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from datacollective.errors import IncompletePortfolioError, InvalidInputError
 from datacollective.population import (
     CONDITIONS,
     DEFAULT_GROUP_MIX,
+    INTRINSIC,
     PRIVACY_IGNORANT,
     PRIVACY_NEUTRAL,
     PRIVACY_PRESERVER,
@@ -22,9 +24,23 @@ from datacollective.population import (
     load_population_spec,
     population_from_spec,
     simulate_condition,
+    simulate_conditions,
     simulate_population,
 )
-from datacollective.sharing import RewardModel, SelectionVector, privacy_score
+from datacollective.sharing import (
+    Budget,
+    Criterion,
+    RewardModel,
+    SelectionVector,
+    default_catalog,
+    enumerate_scenarios,
+    privacy_score,
+)
+from helpers import simulate_condition_oracle
+
+# Participation equals the whole budget, so no option changes the rewards
+# and every reassessment ends once privacy is maxed out.
+FLAT_BUDGET = Budget(17.5, 17.5, 0.0)
 
 
 class TestLevelDistribution:
@@ -211,6 +227,73 @@ class TestSimulateCondition:
         assert means[PRIVACY_NEUTRAL] > means[REWARD_SEEKER]
         assert means[PRIVACY_NEUTRAL] > means[REWARD_OPPORTUNIST]
         assert means[PRIVACY_NEUTRAL] > means[PRIVACY_IGNORANT]
+
+
+def two_by_two_catalog():
+    return enumerate_scenarios(
+        [Criterion("sensor", ("acc", "gps")), Criterion("collector", ("cor", "gov"))]
+    )
+
+
+class TestLockstepKernel:
+    """The lockstep kernel against the one-step-at-a-time oracle: equal
+    selections and equal event logs, floats compared with ==."""
+
+    @pytest.mark.parametrize(
+        "mode, z, small_catalog, n, steps, budget",
+        [
+            ("linear", 5, False, 7, 192, Budget()),
+            ("geometric", 5, False, 7, 192, Budget()),
+            ("geometric", 5, False, 84, 72, Budget()),
+            ("linear", 5, False, 1, 96, Budget()),
+            ("linear", 3, True, 84, 40, Budget()),
+            ("geometric", 3, True, 1, 24, Budget()),
+            ("geometric", 5, True, 84, 30, Budget()),
+            ("linear", 5, False, 7, 448, FLAT_BUDGET),
+            ("geometric", 3, True, 84, 40, FLAT_BUDGET),
+        ],
+    )
+    def test_matches_single_step_oracle(self, mode, z, small_catalog, n, steps, budget):
+        catalog = two_by_two_catalog() if small_catalog else default_catalog()
+        reward_model = RewardModel(budget, mode, z)
+        population = generate_population(
+            n, master_seed=n + z, catalog=catalog, behaviors=default_behaviors(z)
+        )
+        for condition in CONDITIONS:
+            run = simulate_conditions(
+                population.participants, condition, steps, catalog, reward_model,
+                population.contention,
+            )
+            events, lost = [], 0
+            for participant, selection in zip(population.participants, run.selections):
+                expected, logged, missed = simulate_condition_oracle(
+                    participant, condition, steps, catalog, reward_model,
+                    population.contention,
+                )
+                assert np.array_equal(selection.selections, expected.selections)
+                events += logged
+                lost += missed
+            assert run.events == events
+            assert run.lost_steps == lost
+
+    def test_saturations_are_counted_and_logged(self, catalog, caplog):
+        n, steps = 7, 448
+        population = generate_population(n, master_seed=3)
+        reward_model = RewardModel(FLAT_BUDGET)
+        rows = lost = 0
+        with caplog.at_level(logging.INFO, logger="datacollective"):
+            for condition in CONDITIONS:
+                run = simulate_conditions(
+                    population.participants, condition, steps, catalog, reward_model,
+                    population.contention,
+                )
+                if condition != INTRINSIC:
+                    assert run.saturated > 0
+                    assert f"{condition}: {run.saturated} of {n} participants" in caplog.text
+                rows += len(run.events)
+                lost += run.lost_steps
+        assert lost > 0
+        assert rows == n * (catalog.m + 2 * steps) - lost
 
 
 class TestPortfolios:
