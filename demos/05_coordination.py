@@ -40,8 +40,8 @@ print(f"final cost over 10 repetitions: {summary.mean_cost:.2f} "
       f"(sigma {summary.cost_std:.2f})")
 
 chosen = [labels[0] for labels in summary.selected_labels]
-shares = {label: chosen.count(label) / len(chosen) for label in set(chosen)}
-print("plan shares in repetition 0:", {k: f"{v:.0%}" for k, v in shares.items()})
+shares = {label: f"{chosen.count(label) / len(chosen):.0%}" for label in sorted(set(chosen))}
+print("plan shares in repetition 0:", shares)
 
 # small instance: the optimizer hits the exhaustive optimum
 small = portfolios[:8]

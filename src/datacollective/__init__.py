@@ -56,7 +56,6 @@ from .sharing import (
     max_rewards,
     privacy_cost,
     privacy_score,
-    scenario_weight,
     total_weight,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "privacy_cost",
     "privacy_score",
     "retrieve_next",
-    "scenario_weight",
     "selection_summary",
     "simulate_condition",
     "simulate_conditions",

@@ -1,57 +1,39 @@
 """Command-line entry points.
 
 Subcommands mirror the pipeline stages so each step can run standalone:
-simulate, ingest, goals, coordinate, evaluate, conjoint and pipeline. Flags
-mirror the ExperimentConfig fields; `pipeline --config file.json` loads a
-full configuration and flag overrides win.
+simulate, ingest, goals, coordinate, evaluate, conjoint and pipeline. Each
+one loads its input files and calls the pipeline's own stage function, so a
+stage writes the same artifacts from the command line as in a full run.
+Flags mirror the ExperimentConfig fields; `pipeline --config file.json`
+loads a full configuration and flag overrides win.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .conjoint import (
-    encode,
-    fit,
-    partworths,
-    read_response_csv,
-    write_coefficients_csv,
-    write_partworths_json,
-)
-from .coordination import (
-    CostWeights,
-    coordinate,
-    read_portfolio_dir,
-    selection_summary,
-    write_cost_trace_csv,
-    write_portfolio_dir,
-    write_runs_json,
-)
+from .conjoint import read_response_csv
+from .coordination import CostWeights, read_portfolio_dir, read_run_choices
 from .errors import DataCollectiveError
-from .goals import build_goal_signals, level_name, read_goal_signal, write_goal_signal
+from .goals import build_goal_signals, read_goal_signal
 from .ingest import export_responses, ingest, load_mapping
-from .metrics import (
-    ConditionSnapshot,
-    collection_cost,
-    privacy_recovery,
-    write_cost_csv,
-    write_mismatch_csv,
-    write_scenario_privacy_csv,
+from .metrics import ConditionSnapshot
+from .pipeline import (
+    OUTPUT_ENV_VAR,
+    ExperimentConfig,
+    conjoint_stage,
+    coordinate_stage,
+    goals_stage,
+    metrics_stage,
+    portfolio_stage,
+    run_pipeline,
+    simulate_stage,
 )
-from .pipeline import OUTPUT_ENV_VAR, ExperimentConfig, run_pipeline, simulate_stage
-from .population import (
-    CONDITIONS,
-    INTRINSIC,
-    build_portfolios,
-    generate_population,
-    load_population_spec,
-    population_from_spec,
-)
+from .population import CONDITIONS, INTRINSIC, load_population_spec, population_from_spec
 from .sharing import (
     Budget,
     RewardModel,
@@ -127,8 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="privacy, mismatch, cost and recovery reports")
     p.add_argument("--selections", required=True, help="canonical selections CSV")
     p.add_argument("--profiles", required=True)
-    p.add_argument("--runs-json", help="coordination runs for the coordinated condition")
-    p.add_argument("--plans-dir")
+    p.add_argument(
+        "--runs-json", required=True, help="coordination runs for the coordinated condition"
+    )
+    p.add_argument("--plans-dir", required=True, help="the portfolios the runs chose from")
     p.add_argument("--catalog")
     p.add_argument("--z", type=int, default=5)
     p.add_argument("--reward-mode", choices=["linear", "geometric"], default="linear")
@@ -179,15 +163,14 @@ def cmd_simulate(args) -> None:
     catalog = _catalog(args)
     if args.population_spec:
         spec = load_population_spec(args.population_spec)
-        population = population_from_spec(spec, catalog)
-        steps = int(spec.get("steps", args.steps))
     else:
-        population = generate_population(args.n, master_seed=args.seed, catalog=catalog)
-        steps = args.steps
+        spec = {"n": args.n, "seed": args.seed, "z": args.z}
+    population = population_from_spec(spec, catalog)
+    steps = int(spec.get("steps", args.steps))
     reward_model = RewardModel(Budget(), args.reward_mode, population.participants[0].behavior.z)
     out = _outdir(args)
     simulations = simulate_stage(population, steps, catalog, reward_model, out)
-    write_portfolio_dir(out / "portfolios", build_portfolios(simulations))
+    portfolio_stage(simulations, out)
     print(f"simulated {len(population.participants)} participants -> {out}")
 
 
@@ -211,124 +194,61 @@ def cmd_ingest(args) -> None:
     )
 
 
-def _selection_vectors_from_csv(path, condition, m, z):
+def _read_selections(path, conditions, m, z):
+    """Selections by participant and condition from one read of a canonical
+    selections CSV, for the participants complete in every condition."""
     bundle, _ = ingest(path, z=z, provenance=str(path))
-    vectors = bundle.selection_vectors(condition, m, z)
-    if not vectors:
-        raise DataCollectiveError(
-            f"no complete participants for condition '{condition}' in {path}"
-        )
-    return vectors
+    return bundle.complete_selections(conditions, m, z)
 
 
 def cmd_goals(args) -> None:
     catalog = _catalog(args)
-    vectors = _selection_vectors_from_csv(args.selections, args.condition, catalog.m, args.z)
-    signals = build_goal_signals(list(vectors.values()))
+    simulations = _read_selections(args.selections, [args.condition], catalog.m, args.z)
     out = _outdir(args)
-    for signal in signals:
-        write_goal_signal(out / f"goal_{level_name(signal.level, args.z)}.csv", signal)
+    signals = goals_stage([conds[args.condition] for conds in simulations.values()], out)
     print(f"wrote {len(signals)} goal signals -> {out}")
 
 
 def cmd_coordinate(args) -> None:
     portfolios = read_portfolio_dir(args.plans_dir)
     goal = read_goal_signal(args.goal_file, level=args.goal_level)
-    runs = coordinate(
-        portfolios,
-        goal,
-        CostWeights(args.alpha, args.beta),
-        iterations=args.iterations,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        children_per_node=args.children_per_node,
-    )
     out = _outdir(args)
-    write_runs_json(out / "coordination_runs.json", runs)
-    write_cost_trace_csv(out / "cost_trace.csv", runs)
-    summary = selection_summary(runs, portfolios)
+    runs = coordinate_stage(
+        portfolios, goal, CostWeights(args.alpha, args.beta), out,
+        iterations=args.iterations, repetitions=args.repetitions,
+        seed=args.seed, children_per_node=args.children_per_node,
+    )
+    final_costs = np.array([run.final_cost() for run in runs])
     print(
         f"coordinated {len(portfolios)} agents x {args.repetitions} repetitions: "
-        f"final cost {summary.mean_cost:.6g} (sigma {summary.cost_std:.3g}) -> {out}"
+        f"final cost {final_costs.mean():.6g} (sigma {final_costs.std():.3g}) -> {out}"
     )
 
 
 def cmd_evaluate(args) -> None:
     catalog = _catalog(args)
-    reward_model = RewardModel(Budget(), args.reward_mode, args.z)
+    simulations = _read_selections(args.selections, CONDITIONS, catalog.m, args.z)
     profiles = {
         p.participant_id: p for p in read_weight_profiles(args.profiles, catalog)
     }
-    snapshots = []
-    simulations = {}
-    for condition in CONDITIONS:
-        vectors = _selection_vectors_from_csv(args.selections, condition, catalog.m, args.z)
-        for pid, sv in vectors.items():
-            simulations.setdefault(pid, {})[condition] = sv
-        snapshots.append(ConditionSnapshot.from_selections(condition, vectors))
-    intrinsic_vectors = [conds[INTRINSIC] for conds in simulations.values() if INTRINSIC in conds]
-    signals = build_goal_signals(intrinsic_vectors)
-    if args.runs_json and args.plans_dir:
-        snapshots.append(_coordinated_snapshot(args, catalog))
-    out = _outdir(args)
-    write_scenario_privacy_csv(out / "privacy_by_scenario.csv", snapshots)
-    write_mismatch_csv(out / "mismatch_by_scenario.csv", snapshots, [signals[0], signals[-1]])
-    reports = [
-        collection_cost(s, profiles, reward_model, catalog) for s in snapshots
-        if set(s.participant_ids) <= set(profiles)
-    ]
-    write_cost_csv(out / "costs.csv", reports)
-    if len(snapshots) == 4:
-        rewarded = snapshots[1]
-        recovery = privacy_recovery(rewarded, snapshots[3], snapshots[0])
-        (out / "recovery.json").write_text(
-            json.dumps(
-                {"privacy_recovery_percent": None if recovery.undefined else recovery.percent},
-                indent=2,
-            )
-            + "\n"
-        )
-    print(f"evaluation reports -> {out}")
-
-
-def _coordinated_snapshot(args, catalog):
-    from .coordination import CoordinationRun, TreeTopology
-
+    # The .plans files carry no labels; the pipeline writes plans in CONDITIONS order.
     portfolios = read_portfolio_dir(args.plans_dir, labels=list(CONDITIONS))
-    payload = json.loads(Path(args.runs_json).read_text())
-    runs = []
-    for entry in payload["runs"]:
-        n = len(entry["final_selections"])
-        topo = TreeTopology(
-            order=np.arange(n),
-            children_per_node=entry.get("children_per_node", 2),
-            seed=entry.get("topology_seed", 0),
-        )
-        sel = np.array(entry["final_selections"], dtype=np.intp)[None, :]
-        runs.append(
-            CoordinationRun(
-                repetition=entry["repetition"],
-                topology=topo,
-                selections=sel,
-                global_response=np.array(entry["final_response"])[None, :],
-                cost_trace=np.array(entry["cost_trace"][-1:]),
-                weights=CostWeights(entry.get("alpha", 0.0), entry.get("beta", 0.0)),
-                goal_level=entry.get("goal_level", 5),
-            )
-        )
-    return ConditionSnapshot.from_runs("coordinated", runs, portfolios, z=args.z)
+    coordinated = ConditionSnapshot.from_choices(
+        "coordinated", portfolios, read_run_choices(args.runs_json), args.z
+    )
+    signals = build_goal_signals([conds[INTRINSIC] for conds in simulations.values()])
+    out = _outdir(args)
+    reward_model = RewardModel(Budget(), args.reward_mode, args.z)
+    metrics_stage(simulations, profiles, coordinated, signals, catalog, reward_model, out)
+    print(f"evaluation reports -> {out}")
 
 
 def cmd_conjoint(args) -> None:
     catalog = _catalog(args)
     response = read_response_csv(args.response, catalog.m)
     references = args.references.split(",") if args.references else None
-    design = encode(catalog, references)
-    fit_result = fit(design, response)
-    report = partworths(fit_result)
     out = _outdir(args)
-    write_coefficients_csv(out / "conjoint_coefficients.csv", fit_result)
-    write_partworths_json(out / "partworths.json", report)
+    fit_result, report = conjoint_stage(response, catalog, out, references)
     utilities = ", ".join(
         f"{name}={value:.2f}%"
         for name, value in zip(report.criterion_names, report.criterion_utilities)

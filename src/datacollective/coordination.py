@@ -139,10 +139,6 @@ def build_tree(n: int, children_per_node: int = 2, seed: int = 0) -> TreeTopolog
     )
 
 
-def residual_sum_of_squares(aggregate: np.ndarray, goal_values: np.ndarray) -> float:
-    return float(np.sum((standardize(aggregate) - standardize(goal_values)) ** 2))
-
-
 def global_cost(
     aggregate: np.ndarray,
     goal: GoalSignal | np.ndarray,
@@ -154,12 +150,24 @@ def global_cost(
     costs = np.asarray(selected_costs, dtype=float)
     if costs.size < 1:
         raise InvalidInputError("need at least one selected local cost")
-    inefficiency = residual_sum_of_squares(np.asarray(aggregate, dtype=float), goal_values)
-    return (
-        (1.0 - weights.alpha - weights.beta) * inefficiency
-        + weights.alpha * float(np.var(costs))
-        + weights.beta * float(np.mean(costs))
+    stats = np.array([costs.size, costs.sum(), np.square(costs).sum()])
+    return float(
+        _cost(np.asarray(aggregate, dtype=float), standardize(goal_values), stats, weights)
     )
+
+
+def _cost(
+    aggregate: np.ndarray, goal_std: np.ndarray, stats: np.ndarray, weights: CostWeights
+) -> np.ndarray:
+    """The collective cost of aggregates (..., m) whose selected local costs
+    are summarized as (count, sum, sum of squares) triples (..., 3)."""
+    count, total, sumsq = np.moveaxis(stats, -1, 0)
+    mean = total / count
+    var = np.maximum(sumsq / count - mean * mean, 0.0)
+    x = standardize(aggregate)
+    x -= goal_std
+    rss = np.sum(np.square(x, out=x), axis=-1)
+    return (1.0 - weights.alpha - weights.beta) * rss + weights.alpha * var + weights.beta * mean
 
 
 @dataclass
@@ -273,7 +281,6 @@ def _optimize(
     cand = np.empty((R, n), dtype=np.intp)
     keep = np.empty((R, n), dtype=bool)
     cost_prev = np.full(R, np.inf)
-    w_rss = 1.0 - weights.alpha - weights.beta
 
     selections = np.zeros((R, iterations, n), dtype=np.intp)
     responses = np.zeros((R, iterations, m))
@@ -298,18 +305,10 @@ def _optimize(
             base = agg[:, :1] - agg[:, s:e] + child_agg
             base_stats = stats[:, :1] - stats[:, s:e] + child_stats
             agents = order[:, s:e]
-            cand_stats = base_stats[:, :, None] + plan_stats[agents]
-            count, total, sumsq = np.moveaxis(cand_stats, -1, 0)
-            mean = total / count
-            var = np.maximum(sumsq / count - mean * mean, 0.0)
-            # In place where the order of operations allows, to keep few
-            # (R, L, K, m) temporaries alive at once.
+            # In place, to keep few (R, L, K, m) temporaries alive at once.
             x = values[agents]
             x += base[:, :, None]
-            x = standardize(x)
-            x -= goal_std
-            rss = np.sum(np.square(x, out=x), axis=-1)
-            costs = w_rss * rss + weights.alpha * var + weights.beta * mean
+            costs = _cost(x, goal_std, base_stats[:, :, None] + plan_stats[agents], weights)
             costs[padded[agents]] = np.inf
             best = np.argmin(costs, axis=-1)
             best_cost = costs.min(axis=-1)
@@ -469,6 +468,15 @@ def run_to_dict(run: CoordinationRun) -> dict:
 def write_runs_json(path: str | Path, runs: Sequence[CoordinationRun]) -> None:
     payload = {"runs": [run_to_dict(run) for run in runs]}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_run_choices(path: str | Path) -> list[list[int]]:
+    """Every run's final plan choice per agent, from a runs JSON file."""
+    try:
+        runs = json.loads(Path(path).read_text())["runs"]
+        return [[int(k) for k in run["final_selections"]] for run in runs]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InvalidInputError(f"{path}: not a coordination runs file ({exc!r})") from exc
 
 
 def write_cost_trace_csv(path: str | Path, runs: Sequence[CoordinationRun]) -> None:

@@ -108,6 +108,26 @@ class DatasetBundle:
             )
         return vectors
 
+    def complete_selections(
+        self, conditions: Sequence[str], m: int, z: int = 5
+    ) -> dict[str, dict[str, SelectionVector]]:
+        """Vectors by participant and condition, for the participants with a
+        complete set of scenarios in every one of ``conditions``."""
+        by_participant: dict[str, dict[str, SelectionVector]] = {}
+        for condition in conditions:
+            for pid, sv in self.selection_vectors(condition, m, z).items():
+                by_participant.setdefault(pid, {})[condition] = sv
+        complete = {
+            pid: conds for pid, conds in by_participant.items()
+            if len(conds) == len(conditions)
+        }
+        if not complete:
+            raise InvalidInputError(
+                f"{self.provenance or 'dataset'}: no participant answers every "
+                f"scenario of {', '.join(conditions)}"
+            )
+        return complete
+
 
 def load_mapping(path: str | Path | None) -> dict:
     mapping = dict(DEFAULT_MAPPING)

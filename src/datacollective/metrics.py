@@ -75,28 +75,33 @@ class ConditionSnapshot:
         )
 
     @classmethod
-    def from_runs(
+    def from_choices(
         cls,
         label: str,
-        runs: Sequence[CoordinationRun],
         portfolios: Sequence[PlanPortfolio],
+        choices: Sequence[Sequence[int]],
         z: int = 5,
     ) -> "ConditionSnapshot":
-        """Snapshot of coordinated selections, one layer per repetition.
+        """Snapshot of coordinated selections, one layer per repetition;
+        ``choices[r][a]`` is the plan agent ``a`` chose in repetition ``r``.
 
         Plan values are mapped back to levels via s = z - v * (z - 1); plans
         built from selection levels land exactly on that grid.
         """
-        if not runs:
+        if not choices:
             raise InvalidInputError("need at least one coordination run")
-        reps = len(runs)
         n = len(portfolios)
-        m = portfolios[0].plan_length
-        sel = np.zeros((reps, n, m), dtype=np.intp)
-        labels = np.empty((reps, n), dtype=object)
-        for r, run in enumerate(runs):
-            for a, portfolio in enumerate(portfolios):
-                plan = portfolio.plans[run.final_selections()[a]]
+        sel = np.zeros((len(choices), n, portfolios[0].plan_length), dtype=np.intp)
+        labels = np.empty((len(choices), n), dtype=object)
+        for r, chosen in enumerate(choices):
+            if len(chosen) != n or not all(
+                0 <= k < len(p.plans) for p, k in zip(portfolios, chosen)
+            ):
+                raise InvalidInputError(
+                    f"repetition {r}: plan choices do not fit the {n} portfolios"
+                )
+            for a, (portfolio, k) in enumerate(zip(portfolios, chosen)):
+                plan = portfolio.plans[k]
                 levels = np.rint(z - plan.values * (z - 1)).astype(np.intp)
                 sel[r, a] = np.clip(levels, 1, z)
                 labels[r, a] = plan.label
@@ -107,6 +112,17 @@ class ConditionSnapshot:
             z=z,
             plan_labels=labels,
         )
+
+    @classmethod
+    def from_runs(
+        cls,
+        label: str,
+        runs: Sequence[CoordinationRun],
+        portfolios: Sequence[PlanPortfolio],
+        z: int = 5,
+    ) -> "ConditionSnapshot":
+        choices = [run.final_selections() for run in runs]
+        return cls.from_choices(label, portfolios, choices, z)
 
     def normalized_privacy(self) -> np.ndarray:
         """(repetitions, participants, m) privacy fractions."""
@@ -153,14 +169,6 @@ def expected_scenario_privacy(
             for s in catalog.scenarios
         ]
     )
-
-
-def expected_element_privacy(
-    snapshot: ConditionSnapshot, catalog: ScenarioCatalog, criterion: int, element: int
-) -> float:
-    """Mean expected scenario privacy over the scenarios containing the element."""
-    mask = catalog.element_mask(criterion, element)
-    return float(expected_scenario_privacy(snapshot, catalog)[mask].mean())
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ coordination -> metrics -> conjoint, writing plot-ready CSV/JSON artifacts
 plus a manifest recording the config hash, all seeds, library versions and a
 content hash per output file. Outputs are fully determined by the config, so
 re-running with the same config reproduces every numeric file byte for byte.
+
+Each stage is one public function (``simulate_stage``, ``goals_stage``,
+``portfolio_stage``, ``coordinate_stage``, ``metrics_stage``,
+``conjoint_stage``) that takes its inputs, writes its artifacts and returns
+what later stages need. ``run_pipeline`` composes them; the CLI subcommands
+load files and call the same functions.
 """
 
 from __future__ import annotations
@@ -106,11 +112,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """Load a config file, rejecting unknown keys and values of the
+        wrong JSON type."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"{path}: expected a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            kind = cls.__dataclass_fields__[key].type  # e.g. "dict[str, float] | None"
+            if not _json_matches(value, kind):
+                raise InvalidInputError(f"{path}: '{key}' must be {kind}, not {value!r}")
         return cls(**data)
 
     def to_json(self, path: str | Path) -> None:
@@ -162,6 +178,20 @@ class ExperimentConfig:
         )
 
 
+def _json_matches(value, kind: str) -> bool:
+    """Whether a parsed JSON value fits a config field's annotation."""
+    if value is None:
+        return kind.endswith(" | None")
+    if isinstance(value, bool):  # JSON true/false are not numbers
+        return False
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("dict"):
+        return isinstance(value, dict) and all(
+            _json_matches(v, "float") for v in value.values()
+        )
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
+
+
 def run_pipeline(config: ExperimentConfig) -> Path:
     """Execute all stages; returns the artifact directory.
 
@@ -178,20 +208,31 @@ def run_pipeline(config: ExperimentConfig) -> Path:
         "ingest" if config.responses_path else "simulate",
         lambda: _collect_selections(config, catalog, reward_model, out),
     )
-    goal_signals = _stage("goals", lambda: _goals_stage(simulations, out, config.z, catalog.m))
-    portfolios = _stage("portfolios", lambda: _portfolio_stage(simulations, out))
+    goal_signals = _stage(
+        "goals", lambda: goals_stage([conds[INTRINSIC] for conds in simulations.values()], out)
+    )
+    portfolios = _stage("portfolios", lambda: portfolio_stage(simulations, out))
     runs = _stage(
         "coordinate",
-        lambda: _coordinate_stage(config, portfolios, goal_signals, out),
+        lambda: coordinate_stage(
+            portfolios, goal_signals[config.goal_level - 1],
+            CostWeights(config.alpha, config.beta), out,
+            iterations=config.iterations, repetitions=config.repetitions,
+            seed=config.coordination_seed, children_per_node=config.children_per_node,
+        ),
     )
     snapshots = _stage(
         "metrics",
-        lambda: _metrics_stage(
-            config, simulations, profiles, portfolios, runs, goal_signals, catalog,
-            reward_model, out,
+        lambda: metrics_stage(
+            simulations, profiles,
+            ConditionSnapshot.from_runs("coordinated", runs, portfolios, z=config.z),
+            goal_signals, catalog, reward_model, out, provenance=config.responses_path,
         ),
     )
-    _stage("conjoint", lambda: _conjoint_stage(snapshots[INTRINSIC], catalog, out))
+    _stage(
+        "conjoint",
+        lambda: conjoint_stage(scenario_privacy(snapshots[INTRINSIC]), catalog, out),
+    )
     _stage("manifest", lambda: _write_manifest(config, out))
     return out
 
@@ -211,30 +252,20 @@ def _stage(name: str, thunk):
 def _collect_selections(config, catalog, reward_model, out: Path):
     """Simulate a synthetic population, or ingest the configured dataset."""
     if config.responses_path:
-        mapping = load_mapping(config.mapping_path)
         bundle, report = ingest(
             config.responses_path,
             config.profiles_path,
-            mapping,
+            load_mapping(config.mapping_path),
             catalog,
             z=config.z,
             provenance=str(config.responses_path),
         )
         report.write_json(out / "ingest_report.json")
-        simulations = {}
-        for condition in CONDITIONS:
-            for pid, sv in bundle.selection_vectors(condition, catalog.m, config.z).items():
-                simulations.setdefault(pid, {})[condition] = sv
-        simulations = {
-            pid: conds for pid, conds in simulations.items() if len(conds) == len(CONDITIONS)
-        }
-        if not simulations:
-            raise InvalidInputError("no participant has all conditions in the dataset")
-        profiles = bundle.profiles
-        missing = [pid for pid in simulations if pid not in profiles]
+        simulations = bundle.complete_selections(CONDITIONS, catalog.m, config.z)
+        missing = [pid for pid in simulations if pid not in bundle.profiles]
         if missing:
             raise InvalidInputError(f"missing weight profiles for {missing[:5]}")
-        return simulations, profiles
+        return simulations, bundle.profiles
 
     spec = {
         "n": config.n, "mix": config.group_mix, "seed": config.master_seed,
@@ -269,30 +300,30 @@ def simulate_stage(population, steps: int, catalog, reward_model, out: Path):
     return simulations
 
 
-def _goals_stage(simulations, out: Path, z: int, m: int):
-    intrinsic = [conds[INTRINSIC] for conds in simulations.values()]
-    signals = build_goal_signals(intrinsic)
+def goals_stage(selections, out: Path):
+    """One goal signal per sharing level from unrewarded selections, each
+    written to its own file."""
+    signals = build_goal_signals(selections)
     for signal in signals:
-        write_goal_signal(out / f"goal_{level_name(signal.level, z)}.csv", signal)
+        write_goal_signal(out / f"goal_{level_name(signal.level, len(signals))}.csv", signal)
     return signals
 
 
-def _portfolio_stage(simulations, out: Path):
+def portfolio_stage(simulations, out: Path):
+    """Every participant's candidate plans, written one file per agent."""
     portfolios = build_portfolios(simulations)
     write_portfolio_dir(out / "portfolios", portfolios)
     return portfolios
 
 
-def _coordinate_stage(config, portfolios, goal_signals, out: Path):
-    goal = goal_signals[config.goal_level - 1]
+def coordinate_stage(
+    portfolios, goal, weights: CostWeights, out: Path, *,
+    iterations: int, repetitions: int, seed: int, children_per_node: int,
+):
+    """Run the tree optimizer and write its runs, cost traces and summary."""
     runs = coordinate(
-        portfolios,
-        goal,
-        CostWeights(config.alpha, config.beta),
-        iterations=config.iterations,
-        repetitions=config.repetitions,
-        seed=config.coordination_seed,
-        children_per_node=config.children_per_node,
+        portfolios, goal, weights, iterations=iterations, repetitions=repetitions,
+        seed=seed, children_per_node=children_per_node,
     )
     write_runs_json(out / "coordination_runs.json", runs)
     write_cost_trace_csv(out / "cost_trace.csv", runs)
@@ -303,9 +334,9 @@ def _coordinate_stage(config, portfolios, goal_signals, out: Path):
                 "mean_cost": summary.mean_cost,
                 "cost_std": summary.cost_std,
                 "final_costs": [float(c) for c in summary.final_costs],
-                "alpha": config.alpha,
-                "beta": config.beta,
-                "goal_level": config.goal_level,
+                "alpha": weights.alpha,
+                "beta": weights.beta,
+                "goal_level": goal.level,
                 "selected_labels": {
                     agent: list(labels)
                     for agent, labels in zip(summary.agent_ids, summary.selected_labels)
@@ -319,55 +350,57 @@ def _coordinate_stage(config, portfolios, goal_signals, out: Path):
     return runs
 
 
-def _metrics_stage(
-    config, simulations, profiles, portfolios, runs, goal_signals, catalog,
-    reward_model, out: Path,
+def metrics_stage(
+    simulations, profiles, coordinated, goal_signals, catalog, reward_model, out: Path,
+    provenance: str | None = None,
 ):
+    """Privacy, mismatch, cost, recovery and reinforcement of the three
+    conditions and the coordinated snapshot; returns the snapshots by label.
+
+    With a ``provenance`` (an ingested archive) a comparison report is
+    written too.
+    """
     snapshots = {
         condition: ConditionSnapshot.from_selections(
             condition, {pid: conds[condition] for pid, conds in simulations.items()}
         )
         for condition in CONDITIONS
     }
-    snapshots["coordinated"] = ConditionSnapshot.from_runs(
-        "coordinated", runs, portfolios, z=config.z
-    )
-    ordered = [snapshots[c] for c in CONDITIONS] + [snapshots["coordinated"]]
+    snapshots["coordinated"] = coordinated
+    ordered = list(snapshots.values())
 
     write_scenario_privacy_csv(out / "privacy_by_scenario.csv", ordered)
     lowest, highest = goal_signals[0], goal_signals[-1]
     write_mismatch_csv(out / "mismatch_by_scenario.csv", ordered, [lowest, highest])
 
     cost_reports = [
-        collection_cost(snapshots[c], profiles, reward_model, catalog)
-        for c in CONDITIONS
+        collection_cost(s, profiles, reward_model, catalog) for s in ordered
     ]
     cost_reports.append(
-        collection_cost(snapshots["coordinated"], profiles, reward_model, catalog)
-    )
-    cost_reports.append(
         collection_cost(
-            snapshots["coordinated"], profiles, reward_model, catalog,
+            coordinated, profiles, reward_model, catalog,
             include_intrinsic_value=False, label="coordinated_no_intrinsic",
         )
     )
     write_cost_csv(out / "costs.csv", cost_reports)
 
+    intrinsic = snapshots[INTRINSIC]
+    write_response_csv(out / "response_intrinsic_privacy.csv", scenario_privacy(intrinsic))
     rewarded_both = ConditionSnapshot(
         label="rewarded",
         participant_ids=snapshots[REWARDED1].participant_ids,
         selections=np.concatenate(
             [snapshots[REWARDED1].selections, snapshots[REWARDED2].selections]
         ),
-        z=config.z,
+        z=intrinsic.z,
     )
-    recovery = privacy_recovery(rewarded_both, snapshots["coordinated"], snapshots[INTRINSIC])
-    reinforcement = reinforcement_report(snapshots[INTRINSIC], catalog)
+    recovery = privacy_recovery(rewarded_both, coordinated, intrinsic)
+    reinforcement = reinforcement_report(intrinsic, catalog)
     summary = {
         "privacy_recovery_percent": None if recovery.undefined else recovery.percent,
         "mean_privacy": {s.label: s.mean_privacy() for s in ordered},
         "mean_mismatch": {
-            f"{s.label}/goal_{level_name(g.level, config.z)}": mismatch(
+            f"{s.label}/goal_{level_name(g.level, intrinsic.z)}": mismatch(
                 s.aggregate_sharing(), g
             ).mean_abs
             for s in ordered
@@ -385,7 +418,7 @@ def _metrics_stage(
     (out / "evaluation.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
-    if config.responses_path:
+    if provenance:
         # Comparison report for externally collected archives.
         (out / "comparison_report.json").write_text(
             json.dumps(
@@ -393,7 +426,7 @@ def _metrics_stage(
                     "costs_chf": summary["costs_chf"],
                     "privacy_recovery_percent": summary["privacy_recovery_percent"],
                     "mean_mismatch": summary["mean_mismatch"],
-                    "provenance": str(config.responses_path),
+                    "provenance": str(provenance),
                 },
                 indent=2,
                 sort_keys=True,
@@ -403,13 +436,14 @@ def _metrics_stage(
     return snapshots
 
 
-def _conjoint_stage(intrinsic_snapshot, catalog, out: Path):
-    response = scenario_privacy(intrinsic_snapshot)
-    write_response_csv(out / "response_intrinsic_privacy.csv", response)
-    design = encode(catalog)
-    fit_result = fit(design, response)
+def conjoint_stage(response, catalog, out: Path, references=None):
+    """Dummy-code the catalog, fit the per-scenario response and write the
+    coefficients and partworths; returns the fit and the partworths."""
+    fit_result = fit(encode(catalog, references), response)
+    report = partworths(fit_result)
     write_coefficients_csv(out / "conjoint_coefficients.csv", fit_result)
-    write_partworths_json(out / "partworths.json", partworths(fit_result))
+    write_partworths_json(out / "partworths.json", report)
+    return fit_result, report
 
 
 def _write_manifest(config: ExperimentConfig, out: Path) -> None:

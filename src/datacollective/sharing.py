@@ -277,19 +277,6 @@ class SelectionVector:
         return SelectionVector(sel, self.z)
 
 
-def scenario_weight(profile: WeightProfile, scenario: Scenario) -> float:
-    """Weight of one scenario: sum over criteria of c_u * d_(o_u, u)."""
-    if len(scenario.element_indices) != profile.criterion_weights.shape[0]:
-        raise InvalidInputError("scenario/profile dimension mismatch")
-    total = 0.0
-    for u, o in enumerate(scenario.element_indices):
-        ew = profile.element_weights[u]
-        if not 1 <= o <= ew.shape[0]:
-            raise InvalidInputError("scenario element index outside profile range")
-        total += profile.criterion_weights[u] * ew[o - 1]
-    return float(total)
-
-
 def scenario_weights(profile: WeightProfile, catalog: ScenarioCatalog) -> np.ndarray:
     """Vector of all m scenario weights."""
     if not profile.matches(catalog):

@@ -1,6 +1,12 @@
+import csv
 import json
 
+import pytest
+
 from datacollective.cli import main
+from datacollective.pipeline import ExperimentConfig, run_pipeline
+from datacollective.population import population_from_spec
+from datacollective.sharing import default_catalog, profile_csv_header
 
 
 def test_full_cli_chain(tmp_path):
@@ -38,7 +44,8 @@ def test_full_cli_chain(tmp_path):
         "--out", str(ev),
     ]) == 0
     assert (ev / "privacy_by_scenario.csv").is_file()
-    assert (ev / "recovery.json").is_file()
+    evaluation = json.loads((ev / "evaluation.json").read_text())
+    assert evaluation["privacy_recovery_percent"] is not None
 
     cj = tmp_path / "conjoint"
     response = tmp_path / "response.csv"
@@ -93,6 +100,89 @@ def test_population_spec_flag(tmp_path):
     assert main(["simulate", "--population-spec", str(spec), "--out", str(out)]) == 0
     selection_lines = (out / "selections.csv").read_text().splitlines()
     assert len(selection_lines) == 1 + 6 * 3 * 64
+
+
+def test_simulate_honours_z(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--n", "2", "--z", "3", "--steps", "64", "--out", str(out)]) == 0
+    with open(out / "selections.csv", newline="") as fh:
+        levels = {int(row["selection"]) for row in csv.DictReader(fh)}
+    assert levels <= {1, 2, 3}
+
+
+METRIC_FILES = (
+    "privacy_by_scenario.csv",
+    "mismatch_by_scenario.csv",
+    "costs.csv",
+    "response_intrinsic_privacy.csv",
+)
+
+
+def _evaluate(root, profiles, out):
+    return main([
+        "evaluate",
+        "--selections", str(root / "selections.csv"),
+        "--profiles", str(profiles),
+        "--runs-json", str(root / "coordination_runs.json"),
+        "--plans-dir", str(root / "portfolios"),
+        "--out", str(out),
+    ])
+
+
+def test_evaluate_matches_pipeline(tmp_path):
+    """The command line computes its metrics with the pipeline's own stage:
+    on a pipeline run's files it writes the pipeline's metric files."""
+    root = run_pipeline(ExperimentConfig(
+        n=24, steps=96, iterations=15, repetitions=4, master_seed=7,
+        output_dir=str(tmp_path / "run"),
+    ))
+    # profiles.csv keeps 12 significant digits, so costs priced from it may
+    # differ from the pipeline's in the last digits; the same profiles at
+    # full precision must give every file byte for byte.
+    catalog = default_catalog()
+    population = population_from_spec({"n": 24, "seed": 7, "z": 5}, catalog)
+    exact = tmp_path / "profiles_exact.csv"
+    with open(exact, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(profile_csv_header(catalog))
+        for p in population.participants:
+            weights = [p.profile.criterion_weights, *p.profile.element_weights]
+            writer.writerow([p.participant_id] + [repr(float(w)) for ws in weights for w in ws])
+    assert _evaluate(root, exact, tmp_path / "exact") == 0
+    for name in METRIC_FILES + ("evaluation.json",):
+        assert (tmp_path / "exact" / name).read_bytes() == (root / name).read_bytes(), name
+
+    ev = tmp_path / "eval"
+    assert _evaluate(root, root / "profiles.csv", ev) == 0
+    for name in METRIC_FILES:
+        assert (ev / name).read_bytes() == (root / name).read_bytes(), name
+    mine = json.loads((ev / "evaluation.json").read_text())
+    theirs = json.loads((root / "evaluation.json").read_text())
+    for key in ("costs_chf", "cost_sigma_chf"):
+        assert mine.pop(key) == pytest.approx(theirs.pop(key), rel=1e-12, abs=1e-9)
+    assert mine == theirs
+
+
+def test_evaluate_rejects_runs_that_do_not_fit(tmp_path, capsys):
+    root = run_pipeline(ExperimentConfig(
+        n=4, steps=64, iterations=2, repetitions=2, output_dir=str(tmp_path / "run"),
+    ))
+    runs = json.loads((root / "coordination_runs.json").read_text())
+    runs["runs"][0]["final_selections"][0] = -1
+    (root / "coordination_runs.json").write_text(json.dumps(runs))
+    assert _evaluate(root, root / "profiles.csv", tmp_path / "eval") == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "repetition 0" in err
+
+
+def test_pipeline_config_rejects_wrong_types(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": "84", "output_dir": str(tmp_path / "out")}))
+    assert main(["pipeline", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1 and "Traceback" not in err
+    assert str(config) in err and "'n'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reports_errors(tmp_path):

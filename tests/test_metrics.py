@@ -9,7 +9,6 @@ from datacollective.metrics import (
     ConditionSnapshot,
     collection_cost,
     element_privacy,
-    expected_element_privacy,
     expected_scenario_privacy,
     privacy_recovery,
     reinforcement_report,
@@ -73,9 +72,9 @@ class TestExpectedPrivacy:
         row = np.where(mask, 5, 1)
         snap = snapshot_from_matrix("x", row[None, :])
         assert element_privacy(snap, catalog, 1, 1) == pytest.approx(1.0)
-        assert expected_element_privacy(snap, catalog, 1, 1) == pytest.approx(0.5)
         report = reinforcement_report(snap, catalog)
         idx = report.element_labels.index("acc")
+        assert report.expected[idx] == pytest.approx(0.5)
         assert report.reinforcement[idx] == pytest.approx(1.0)
 
     def test_swap_symmetry(self, catalog):

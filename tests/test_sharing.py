@@ -26,7 +26,6 @@ from datacollective.sharing import (
     privacy_score,
     read_catalog,
     read_weight_profiles,
-    scenario_weight,
     scenario_weights,
     total_weight,
     write_catalog,
@@ -83,8 +82,9 @@ class TestEnumeration:
 
 class TestWeights:
     def test_uniform_scenario_weight(self, catalog, uniform_profile):
-        for scenario in catalog.scenarios[:8]:
-            assert scenario_weight(uniform_profile, scenario) == pytest.approx(0.25)
+        weights = scenario_weights(uniform_profile, catalog)
+        for j in range(8):
+            assert weights[j] == pytest.approx(0.25)
 
     def test_point_mass_weight(self, catalog):
         profile = WeightProfile(
@@ -96,7 +96,7 @@ class TestWeights:
                 np.full(4, 0.25),
             ),
         )
-        assert scenario_weight(profile, catalog.scenarios[0]) == pytest.approx(1.0)
+        assert scenario_weights(profile, catalog)[0] == pytest.approx(1.0)
 
     def test_hand_computed_weight(self, catalog):
         profile = WeightProfile(
@@ -109,7 +109,7 @@ class TestWeights:
             ),
         )
         # 0.5*0.4 + 0.3*0.1 + 0.2*0.25
-        assert scenario_weight(profile, catalog.scenarios[0]) == pytest.approx(0.28)
+        assert scenario_weights(profile, catalog)[0] == pytest.approx(0.28)
 
     def test_uniform_total_weight(self, catalog, uniform_profile):
         assert total_weight(uniform_profile, catalog) == pytest.approx(16.0)
@@ -117,14 +117,10 @@ class TestWeights:
     def test_single_scenario_total(self):
         cat = enumerate_scenarios([Criterion("c", ("a",))])
         profile = WeightProfile("p", np.array([1.0]), (np.array([1.0]),))
-        assert total_weight(profile, cat) == pytest.approx(
-            scenario_weight(profile, cat.scenarios[0])
-        )
+        assert total_weight(profile, cat) == pytest.approx(scenario_weights(profile, cat)[0])
 
     def test_dimension_mismatch(self, catalog, uniform_profile):
         small = enumerate_scenarios([Criterion("c", ("a", "b"))])
-        with pytest.raises(InvalidInputError):
-            scenario_weight(uniform_profile, small.scenarios[0])
         with pytest.raises(InvalidInputError):
             scenario_weights(uniform_profile, small)
 
