@@ -184,7 +184,7 @@ def cmd_ingest(args) -> None:
     out = _outdir(args)
     simulations = {}
     for condition in sorted(bundle.conditions()):
-        for pid, sv in bundle.selection_vectors(condition, catalog.m, args.z).items():
+        for pid, sv in bundle.selection_vectors(condition, catalog.m, args.z, report).items():
             simulations.setdefault(pid, {})[condition] = sv
     export_responses(out / "selections.csv", simulations)
     report.write_json(out / "ingest_report.json")

@@ -5,7 +5,10 @@ mapping config: which source column holds the participant id, condition,
 scenario id, selection and (optionally) timestamp, plus how condition values
 translate to the canonical labels. Rows that fail validation are reported
 with their line numbers and counted, never silently dropped; duplicate
-(participant, condition, scenario) rows resolve to the latest timestamp.
+(participant, condition, scenario) rows resolve to the latest timestamp, so
+every row counts once as accepted (a new key), duplicate or rejected.
+Participants left out for an incomplete set of scenarios are recorded per
+condition in the report as well.
 """
 
 from __future__ import annotations
@@ -49,13 +52,23 @@ class IngestReport:
     duplicates: int = 0
     row_errors: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    # condition -> reason -> ids of the participants left out of it
+    dropped: dict[str, dict[str, list[str]]] = field(default_factory=dict)
 
     @property
     def rejected(self) -> int:
         return len(self.row_errors)
 
+    def drop(self, condition: str, reason: str, participant_ids: Sequence[str]) -> None:
+        """Record participants whose selections in ``condition`` are not used."""
+        if participant_ids:
+            self.dropped.setdefault(condition, {}).setdefault(reason, []).extend(
+                participant_ids
+            )
+
     def write_json(self, path: str | Path) -> None:
-        """Write the counts, the first 100 row errors and the warnings."""
+        """Write the counts, the first 100 row errors, the warnings and the
+        dropped participants per condition and reason (count and first ids)."""
         payload = {
             "total_rows": self.total_rows,
             "accepted": self.accepted,
@@ -63,6 +76,13 @@ class IngestReport:
             "rejected": self.rejected,
             "row_errors": self.row_errors[:100],
             "warnings": self.warnings,
+            "dropped": {
+                condition: {
+                    reason: {"count": len(ids), "first_ids": ids[:5]}
+                    for reason, ids in reasons.items()
+                }
+                for condition, reasons in self.dropped.items()
+            },
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -82,17 +102,18 @@ class DatasetBundle:
         return {r.participant_id for r in self.responses}
 
     def selection_vectors(
-        self, condition: str, m: int, z: int = 5
+        self, condition: str, m: int, z: int = 5, report: IngestReport | None = None
     ) -> dict[str, SelectionVector]:
         """Per-participant vectors for one condition; participants with an
-        incomplete set of scenarios are skipped. A scenario id outside 1..m
-        raises, since the archive and the catalog then disagree."""
+        incomplete set of scenarios are skipped, and recorded as
+        ``incomplete`` in ``report`` if one is given. A scenario id outside
+        1..m raises, since the archive and the catalog then disagree."""
         per_participant: dict[str, dict[int, int]] = {}
         for row in self.responses:
             if row.condition != condition:
                 continue
             per_participant.setdefault(row.participant_id, {})[row.scenario_id] = row.selection
-        vectors = {}
+        vectors, incomplete = {}, []
         for pid in sorted(per_participant):
             answers = per_participant[pid]
             outside = sorted(j for j in answers if not 1 <= j <= m)
@@ -102,25 +123,38 @@ class DatasetBundle:
                     f"scenario ids {outside} outside 1..{m} in condition '{condition}'"
                 )
             if len(answers) != m:
+                incomplete.append(pid)
                 continue
             vectors[pid] = SelectionVector(
                 np.array([answers[j] for j in range(1, m + 1)]), z
             )
+        if report is not None:
+            report.drop(condition, "incomplete", incomplete)
         return vectors
 
     def complete_selections(
-        self, conditions: Sequence[str], m: int, z: int = 5
+        self, conditions: Sequence[str], m: int, z: int = 5,
+        report: IngestReport | None = None,
     ) -> dict[str, dict[str, SelectionVector]]:
         """Vectors by participant and condition, for the participants with a
-        complete set of scenarios in every one of ``conditions``."""
+        complete set of scenarios in every one of ``conditions``. With a
+        ``report``, a participant left out is recorded under each condition:
+        ``incomplete`` where its set is incomplete, ``incomplete_elsewhere``
+        where it is complete but another condition's is not."""
         by_participant: dict[str, dict[str, SelectionVector]] = {}
         for condition in conditions:
-            for pid, sv in self.selection_vectors(condition, m, z).items():
+            for pid, sv in self.selection_vectors(condition, m, z, report).items():
                 by_participant.setdefault(pid, {})[condition] = sv
         complete = {
             pid: conds for pid, conds in by_participant.items()
             if len(conds) == len(conditions)
         }
+        if report is not None:
+            for condition in conditions:
+                report.drop(condition, "incomplete_elsewhere", [
+                    pid for pid, conds in by_participant.items()
+                    if condition in conds and pid not in complete
+                ])
         if not complete:
             raise InvalidInputError(
                 f"{self.provenance or 'dataset'}: no participant answers every "
@@ -184,7 +218,7 @@ def ingest(
                     rows[key] = parsed
             else:
                 rows[key] = parsed
-            report.accepted += 1
+                report.accepted += 1
 
     if report.total_rows == 0:
         report.warnings.append(f"{responses_path}: no data rows")

@@ -260,8 +260,10 @@ def _collect_selections(config, catalog, reward_model, out: Path):
             z=config.z,
             provenance=str(config.responses_path),
         )
-        report.write_json(out / "ingest_report.json")
-        simulations = bundle.complete_selections(CONDITIONS, catalog.m, config.z)
+        try:
+            simulations = bundle.complete_selections(CONDITIONS, catalog.m, config.z, report)
+        finally:
+            report.write_json(out / "ingest_report.json")
         missing = [pid for pid in simulations if pid not in bundle.profiles]
         if missing:
             raise InvalidInputError(f"missing weight profiles for {missing[:5]}")

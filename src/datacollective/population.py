@@ -24,7 +24,9 @@ a full re-sum over all scenarios, never a running total; row-wise sums and
 means of a C-contiguous (n, m) array equal those of each row on its own; and
 each participant draws from its own condition stream with the same calls in
 the same order (``integers(0, box size)`` is what ``choice`` over the sorted
-box draws).
+box draws). The event log stays in the (n, steps) columns the loop fills
+(``retrieval.EventLog``): no object is built per row, and
+``retrieval.write_event_log`` formats the rows straight from the columns.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .coordination import Plan, PlanPortfolio
 from .errors import IncompletePortfolioError, InvalidInputError
-from .retrieval import IMPROVE_PRIVACY, IMPROVE_REWARDS, Event
+from .retrieval import Event, EventLog
 from .sharing import (
     RewardModel,
     ScenarioCatalog,
@@ -293,12 +295,12 @@ def _condition_rng(participant: Participant, condition: str) -> np.random.Genera
 @dataclass(frozen=True)
 class ConditionRun:
     """One condition for a group of participants: selections in participant
-    order, events participant-major then by step, and the participants who
-    saturated (nothing left to improve) before the last step with the steps
-    they did not take."""
+    order, the event log as columns (rows participant-major then by step),
+    and the participants who saturated (nothing left to improve) before the
+    last step with the steps they did not take."""
 
     selections: tuple[SelectionVector, ...]
-    events: list[Event]
+    events: EventLog
     saturated: int
     lost_steps: int
 
@@ -345,7 +347,8 @@ def simulate_conditions(
     # Unanswered scenarios count as share-nothing. ``gained`` and ``privacy``
     # hold each scenario's reward and normalized privacy at its current
     # level; every logged balance is a full row-wise re-sum of them. The log
-    # has one column per step; goal 0 is the first pass, 1 rewards, 2 privacy.
+    # has one column per step; goal codes index ``EVENT_GOALS`` (0 first
+    # pass, 1 rewards, 2 privacy).
     length = steps if rewarded else m
     selections = np.full((n, m), z, dtype=np.intp)
     gained = table[:, :, z - 1].copy()
@@ -401,16 +404,6 @@ def simulate_conditions(
         goal[active, step] = 1 + privacy_goal
         apply(active, scenario, option, step)
 
-    goal_names = ("first_pass", IMPROVE_REWARDS, IMPROVE_PRIVACY)
-    events = []
-    for i, participant in enumerate(participants):
-        k = int(taken[i])
-        events.extend(map(
-            Event, [participant.participant_id] * k, range(1, k + 1),
-            [goal_names[g] for g in goal[i, :k].tolist()],
-            *(column[i, :k].tolist()
-              for column in (scenario_id, option_log, rewards_after, privacy_after)),
-        ))
     saturated = int(np.count_nonzero(taken < length))
     lost_steps = int((length - taken).sum())
     if saturated:
@@ -420,7 +413,11 @@ def simulate_conditions(
         )
     return ConditionRun(
         tuple(SelectionVector(row, z) for row in selections.copy()),
-        events, saturated, lost_steps,
+        EventLog(
+            tuple(p.participant_id for p in participants), taken,
+            goal, scenario_id, option_log, rewards_after, privacy_after,
+        ),
+        saturated, lost_steps,
     )
 
 
@@ -436,7 +433,7 @@ def simulate_condition(
     run = simulate_conditions(
         [participant], condition, steps, catalog, reward_model, contention
     )
-    return run.selections[0], run.events
+    return run.selections[0], list(run.events)
 
 
 def _draw_intrinsic(

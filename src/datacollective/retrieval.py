@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def _check_goal(goal: str) -> None:
         raise InvalidInputError(f"unknown goal '{goal}'")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One row of the replayable event log."""
 
     participant_id: str
@@ -146,23 +145,70 @@ EVENT_LOG_HEADER = [
     "privacy_after",
 ]
 
+# Goal names by the codes an ``EventLog`` stores.
+EVENT_GOALS = ("first_pass", IMPROVE_REWARDS, IMPROVE_PRIVACY)
 
-def write_event_log(path: str | Path, events: Iterable[Event]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_LOG_HEADER)
-        for e in events:
-            writer.writerow(
-                [
-                    e.participant_id,
-                    e.step,
-                    e.goal,
-                    e.scenario_id,
-                    e.option,
-                    format(e.rewards_after, ".12g"),
-                    format(e.privacy_after, ".12g"),
-                ]
+
+@dataclass(frozen=True)
+class EventLog:
+    """The dilemma loop's event log, kept as the columns the loop fills.
+
+    Each column is an (n, length) array with one row per participant; the
+    first ``taken[i]`` entries of row i are participant i's steps 1..taken[i].
+    ``goal`` holds codes into ``EVENT_GOALS``. Iterating yields the rows as
+    ``Event`` objects, participant-major then by step.
+    """
+
+    participant_ids: tuple[str, ...]
+    taken: np.ndarray
+    goal: np.ndarray
+    scenario_id: np.ndarray
+    option: np.ndarray
+    rewards_after: np.ndarray
+    privacy_after: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.taken.sum())
+
+    def __iter__(self) -> Iterator[Event]:
+        for participant_id, rows in self._rows():
+            for row in rows:
+                yield Event(participant_id, *row)
+
+    def _rows(self):
+        """Per participant, its id and its rows without the id, as plain
+        tuples built from the columns' ``tolist()``."""
+        for i, participant_id in enumerate(self.participant_ids):
+            k = int(self.taken[i])
+            yield participant_id, zip(
+                range(1, k + 1),
+                map(EVENT_GOALS.__getitem__, self.goal[i, :k].tolist()),
+                self.scenario_id[i, :k].tolist(),
+                self.option[i, :k].tolist(),
+                self.rewards_after[i, :k].tolist(),
+                self.privacy_after[i, :k].tolist(),
             )
+
+
+def write_event_log(path: str | Path, events: EventLog) -> None:
+    """Write the log as CSV, byte for byte what ``csv.writer`` writes: CRLF
+    line ends, floats at 12 significant digits and ids quoted only when they
+    need it. Rows are formatted one participant at a time and streamed, so
+    the file is never held in memory as one string."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(EVENT_LOG_HEADER) + "\r\n")
+        for participant_id, rows in events._rows():
+            # quote the id once; a % in it is text, not a format
+            template = _csv_field(participant_id).replace("%", "%%")
+            template += ",%d,%s,%d,%d,%.12g,%.12g\r\n"
+            fh.writelines(map(template.__mod__, rows))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field under ``QUOTE_MINIMAL``."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_event_log(path: str | Path) -> list[Event]:

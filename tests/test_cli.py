@@ -77,6 +77,10 @@ def test_ingest_command(tmp_path):
     report = json.loads((out / "ingest_report.json").read_text())
     assert report["accepted"] == 1
     assert report["rejected"] == 1
+    # u1 answers one of the 64 scenarios, so its intrinsic vector is left out
+    assert report["dropped"] == {
+        "intrinsic": {"incomplete": {"count": 1, "first_ids": ["u1"]}}
+    }
 
 
 def test_pipeline_command_with_config(tmp_path):

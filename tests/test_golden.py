@@ -8,10 +8,18 @@ hashes here and says why in CHANGES.md.
 """
 
 import hashlib
+from itertools import groupby
 
+import numpy as np
 import pytest
 
+from datacollective.ingest import ingest
 from datacollective.pipeline import ExperimentConfig, run_pipeline
+from datacollective.population import CONDITIONS
+from datacollective.retrieval import read_event_log
+from datacollective.sharing import read_weight_profiles
+
+GOLDEN = dict(n=24, steps=96, iterations=15, repetitions=4, master_seed=7)
 
 PLAIN = {
     "conjoint_coefficients.csv":
@@ -129,10 +137,7 @@ WEIGHTED = {
     ids=["plain", "weighted"],
 )
 def test_artifact_hashes(tmp_path, weights, expected):
-    config = ExperimentConfig(
-        n=24, steps=96, iterations=15, repetitions=4,
-        master_seed=7, output_dir=str(tmp_path), **weights,
-    )
+    config = ExperimentConfig(**GOLDEN, output_dir=str(tmp_path), **weights)
     root = run_pipeline(config)
     actual = {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -140,3 +145,37 @@ def test_artifact_hashes(tmp_path, weights, expected):
         if p.is_file()
     }
     assert actual == expected
+
+
+def test_event_logs_replay(tmp_path):
+    """Each event log, read back, replays into the run's selections and
+    balances: steps 1..k per participant, the last option per scenario is
+    the selection in ``selections.csv``, and every logged balance is the
+    balance of the replayed levels."""
+    config = ExperimentConfig(**GOLDEN, output_dir=str(tmp_path))
+    root = run_pipeline(config)
+    catalog, reward_model, z = config.catalog(), config.reward_model(), config.z
+    bundle, _ = ingest(root / "selections.csv", z=z)
+    profiles = read_weight_profiles(root / "profiles.csv", catalog)
+    rmax = {p.participant_id: reward_model.max_rewards(p, catalog) for p in profiles}
+    for condition in CONDITIONS:
+        selections = bundle.selection_vectors(condition, catalog.m, z)
+        blocks = [
+            (pid, list(rows))
+            for pid, rows in groupby(
+                read_event_log(root / f"events_{condition}.csv"),
+                key=lambda e: e.participant_id,
+            )
+        ]
+        # participant-major: one block per participant, in population order
+        assert [pid for pid, _ in blocks] == sorted(selections)
+        for pid, rows in blocks:
+            assert [e.step for e in rows] == list(range(1, len(rows) + 1))
+            levels = np.full(catalog.m, z)  # unanswered counts as share nothing
+            for e in rows:
+                levels[e.scenario_id - 1] = e.option
+                privacy = ((levels - 1) / (z - 1)).mean()
+                assert e.privacy_after == float(format(privacy, ".12g"))
+                rewards = reward_model.option_rewards(rmax[pid], levels).sum()
+                assert e.rewards_after == pytest.approx(rewards, rel=1e-9, abs=0)
+            assert np.array_equal(levels, selections[pid].selections)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,23 @@ class TestIngest:
         assert report.duplicates == 2
         assert len(bundle.responses) == 1
         assert bundle.responses[0].selection == 4
+
+    def test_duplicate_is_not_also_accepted(self, tmp_path):
+        path = tmp_path / "responses.csv"
+        write_rows(
+            path,
+            CANONICAL,
+            [
+                ["p1", "intrinsic", 1, 2, 100],
+                ["p1", "intrinsic", 2, 3, 100],
+                ["p1", "intrinsic", 1, 4, 300],  # replaces the first row
+                ["p1", "intrinsic", 3, 9, 100],  # rejected
+            ],
+        )
+        bundle, report = ingest(path)
+        assert (report.accepted, report.duplicates, report.rejected) == (2, 1, 1)
+        assert report.total_rows == report.accepted + report.duplicates + report.rejected
+        assert len(bundle.responses) == report.accepted
 
     def test_row_errors_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -97,6 +116,30 @@ class TestIngest:
         vectors = bundle.selection_vectors("intrinsic", 64)
         assert set(vectors) == {"p1"}
         assert vectors["p1"].selections.tolist() == [3] * 64
+
+    def test_dropped_participants_are_reported(self, tmp_path):
+        path = tmp_path / "responses.csv"
+        rows = [
+            [pid, condition, j, 3, 0]
+            for pid in ("p1", "p2")
+            for condition in ("intrinsic", "rewarded1")
+            for j in range(1, 65)
+        ]
+        rows.remove(["p2", "intrinsic", 7, 3, 0])  # p2 is incomplete in intrinsic
+        write_rows(path, CANONICAL, rows)
+        bundle, report = ingest(path)
+        selections = bundle.complete_selections(("intrinsic", "rewarded1"), 64, report=report)
+        assert set(selections) == {"p1"}
+        assert report.dropped == {
+            "intrinsic": {"incomplete": ["p2"]},
+            "rewarded1": {"incomplete_elsewhere": ["p2"]},
+        }
+        report.write_json(tmp_path / "report.json")
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["dropped"] == {
+            "intrinsic": {"incomplete": {"count": 1, "first_ids": ["p2"]}},
+            "rewarded1": {"incomplete_elsewhere": {"count": 1, "first_ids": ["p2"]}},
+        }
 
 
 class TestRoundTrip:

@@ -143,9 +143,33 @@ class TestRunPipeline:
         out = run_pipeline(config)
         assert (out / "ingest_report.json").is_file()
         assert (out / "comparison_report.json").is_file()
+        assert json.loads((out / "ingest_report.json").read_text())["dropped"] == {}
         sim_eval = json.loads((out_sim / "evaluation.json").read_text())
         ing_eval = json.loads((out / "evaluation.json").read_text())
         for condition in ("intrinsic", "rewarded1", "rewarded2"):
             assert ing_eval["mean_privacy"][condition] == pytest.approx(
                 sim_eval["mean_privacy"][condition], abs=1e-12
             )
+
+    def test_dataset_pipeline_reports_dropped_participant(self, tmp_path):
+        out_sim = run_pipeline(small_config(tmp_path / "sim"))
+        lines = (out_sim / "selections.csv").read_text().splitlines(keepends=True)
+        responses = tmp_path / "responses.csv"
+        # p0003 loses one rewarded2 answer
+        responses.write_text("".join(
+            line for line in lines if not line.startswith("p0003,rewarded2,5,")
+        ))
+        out = run_pipeline(small_config(
+            tmp_path / "ingested",
+            responses_path=str(responses),
+            profiles_path=str(out_sim / "profiles.csv"),
+        ))
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["dropped"] == {
+            "intrinsic": {"incomplete_elsewhere": {"count": 1, "first_ids": ["p0003"]}},
+            "rewarded1": {"incomplete_elsewhere": {"count": 1, "first_ids": ["p0003"]}},
+            "rewarded2": {"incomplete": {"count": 1, "first_ids": ["p0003"]}},
+        }
+        groups = json.loads((out_sim / "groups.json").read_text())
+        plans = {p.stem for p in (out / "portfolios").iterdir()}
+        assert plans == set(groups) - {"p0003"}

@@ -273,7 +273,7 @@ class TestLockstepKernel:
                 assert np.array_equal(selection.selections, expected.selections)
                 events += logged
                 lost += missed
-            assert run.events == events
+            assert list(run.events) == events
             assert run.lost_steps == lost
 
     def test_saturations_are_counted_and_logged(self, catalog, caplog):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from datacollective.errors import InvalidInputError
 from datacollective.retrieval import (
     IMPROVE_PRIVACY,
     IMPROVE_REWARDS,
+    EVENT_GOALS,
+    EVENT_LOG_HEADER,
     BalanceState,
     Event,
+    EventLog,
     apply_choice,
     improvement,
     improvement_box,
@@ -205,15 +210,59 @@ class TestGreedyLoop:
         assert state.accumulated_rewards == pytest.approx(reward_model.pool)
 
 
+def event_log(events):
+    """The columnar log of ``events``, which come participant-major with
+    steps 1..k per participant."""
+    ids = list(dict.fromkeys(e.participant_id for e in events))
+    rows = [[e for e in events if e.participant_id == pid] for pid in ids]
+    width = max(len(r) for r in rows)
+
+    def column(values, dtype):
+        out = np.zeros((len(ids), width), dtype=dtype)
+        for i, r in enumerate(rows):
+            out[i, : len(r)] = [values(e) for e in r]
+        return out
+
+    return EventLog(
+        tuple(ids),
+        np.array([len(r) for r in rows]),
+        column(lambda e: EVENT_GOALS.index(e.goal), np.intp),
+        column(lambda e: e.scenario_id, np.intp),
+        column(lambda e: e.option, np.intp),
+        column(lambda e: e.rewards_after, float),
+        column(lambda e: e.privacy_after, float),
+    )
+
+
 class TestEventLog:
     def test_round_trip(self, tmp_path):
+        awkward = 'a,"b"\nc'  # comma, double quote and newline
         events = [
             Event("p1", 1, "first_pass", 1, 3, 1.25, 0.5),
             Event("p1", 2, IMPROVE_PRIVACY, 40, 5, 1.1, 0.52),
+            Event(awkward, 1, "first_pass", 7, 1, 0.3, 0.125),
+            Event(awkward, 2, IMPROVE_REWARDS, 64, 2, 1e-20, 123456.789),
+            Event(awkward, 3, IMPROVE_PRIVACY, 2, 4, 17.5, 0.0),
+            Event("100%", 1, "first_pass", 3, 2, 2.5, 0.25),
+            Event("two\r\nlines", 1, "first_pass", 5, 5, 0.0, 1.0),
         ]
+        log = event_log(events)
+        assert len(log) == len(events)
+        assert list(log) == events
         path = tmp_path / "events.csv"
-        write_event_log(path, events)
+        write_event_log(path, log)
         assert read_event_log(path) == events
+
+        # the same bytes as csv.writer with .12g floats
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(EVENT_LOG_HEADER)
+            for e in events:
+                writer.writerow(
+                    [*e[:5], format(e.rewards_after, ".12g"), format(e.privacy_after, ".12g")]
+                )
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "events.csv"
