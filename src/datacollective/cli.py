@@ -196,15 +196,19 @@ def cmd_ingest(args) -> None:
 
 def _read_selections(path, conditions, m, z):
     """Selections by participant and condition from one read of a canonical
-    selections CSV, for the participants complete in every condition."""
-    bundle, _ = ingest(path, z=z, provenance=str(path))
-    return bundle.complete_selections(conditions, m, z)
+    selections CSV, for the participants complete in every condition, and
+    the ingest report that lists the participants left out."""
+    bundle, report = ingest(path, z=z, provenance=str(path))
+    return bundle.complete_selections(conditions, m, z, report), report
 
 
 def cmd_goals(args) -> None:
     catalog = _catalog(args)
-    simulations = _read_selections(args.selections, [args.condition], catalog.m, args.z)
+    simulations, report = _read_selections(
+        args.selections, [args.condition], catalog.m, args.z
+    )
     out = _outdir(args)
+    report.write_json(out / "ingest_report.json")
     signals = goals_stage([conds[args.condition] for conds in simulations.values()], out)
     print(f"wrote {len(signals)} goal signals -> {out}")
 
@@ -227,7 +231,7 @@ def cmd_coordinate(args) -> None:
 
 def cmd_evaluate(args) -> None:
     catalog = _catalog(args)
-    simulations = _read_selections(args.selections, CONDITIONS, catalog.m, args.z)
+    simulations, report = _read_selections(args.selections, CONDITIONS, catalog.m, args.z)
     profiles = {
         p.participant_id: p for p in read_weight_profiles(args.profiles, catalog)
     }
@@ -238,6 +242,7 @@ def cmd_evaluate(args) -> None:
     )
     signals = build_goal_signals([conds[INTRINSIC] for conds in simulations.values()])
     out = _outdir(args)
+    report.write_json(out / "ingest_report.json")
     reward_model = RewardModel(Budget(), args.reward_mode, args.z)
     metrics_stage(simulations, profiles, coordinated, signals, catalog, reward_model, out)
     print(f"evaluation reports -> {out}")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularDesignError
+from .errors import InvalidInputError, SingularDesignError, open_text
 from .sharing import ScenarioCatalog
 
 CONDITION_LIMIT = 1e12  # normal-equations guard against silent regularization
@@ -220,7 +220,7 @@ def partworths_from_coefficients(
 def read_response_csv(path: str | Path, m: int | None = None) -> np.ndarray:
     """Load a per-scenario response: columns scenario_id, value."""
     values: dict[int, float] = {}
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["scenario_id", "value"]:
@@ -230,10 +230,13 @@ def read_response_csv(path: str | Path, m: int | None = None) -> np.ndarray:
                 continue
             if len(row) != 2:
                 raise InvalidInputError(f"{path}:{lineno}: wrong column count")
-            j = int(row[0])
+            try:
+                j, value = int(row[0]), float(row[1])
+            except ValueError:
+                raise InvalidInputError(f"{path}:{lineno}: not a number in {row}") from None
             if j in values:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate scenario id {j}")
-            values[j] = float(row[1])
+            values[j] = value
     if not values:
         raise InvalidInputError(f"{path}: empty response file")
     size = m if m is not None else max(values)

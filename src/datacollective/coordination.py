@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidWeightsError
+from .errors import InvalidInputError, InvalidWeightsError, read_text
 from .goals import GoalSignal, standardize
 
 WEIGHT_TOL = 1e-12
@@ -412,7 +412,7 @@ def read_portfolio(
     path = Path(path)
     agent_id = agent_id if agent_id is not None else path.stem
     plans = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

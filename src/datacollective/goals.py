@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, open_text
 from .sharing import SelectionVector
 
 LEVEL_NAMES = ("very_low", "low", "medium", "high", "very_high")
@@ -116,7 +116,7 @@ def read_goal_signal(
     path: str | Path, level: int, expected_length: int | None = None
 ) -> GoalSignal:
     values = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["scenario_id", "value"]:
@@ -126,9 +126,13 @@ def read_goal_signal(
                 continue
             if len(row) != 2:
                 raise InvalidInputError(f"{path}:{lineno}: wrong column count")
-            if int(row[0]) != len(values) + 1:
+            try:
+                scenario_id, value = int(row[0]), float(row[1])
+            except ValueError:
+                raise InvalidInputError(f"{path}:{lineno}: not a number in {row}") from None
+            if scenario_id != len(values) + 1:
                 raise InvalidInputError(f"{path}:{lineno}: scenario ids must be 1..m in order")
-            values.append(float(row[1]))
+            values.append(value)
     if expected_length is not None and len(values) != expected_length:
         raise InvalidInputError(
             f"{path}: expected {expected_length} scenarios, found {len(values)}"

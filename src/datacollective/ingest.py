@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IngestError, InvalidInputError
+from .errors import IngestError, InvalidInputError, open_text, read_json_object
 from .sharing import ScenarioCatalog, SelectionVector, WeightProfile, read_weight_profiles
 
 REQUIRED_COLUMNS = ("participant_id", "condition", "scenario_id", "selection")
@@ -166,8 +166,7 @@ class DatasetBundle:
 def load_mapping(path: str | Path | None) -> dict:
     mapping = dict(DEFAULT_MAPPING)
     if path is not None:
-        loaded = json.loads(Path(path).read_text())
-        mapping.update(loaded)
+        mapping.update(read_json_object(path))
     return mapping
 
 
@@ -186,7 +185,7 @@ def ingest(
     m_limit = catalog.m if catalog is not None else None
 
     rows: dict[tuple[str, str, int], ResponseRow] = {}
-    with open(responses_path, newline="") as fh:
+    with open_text(responses_path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -41,7 +41,7 @@ from .coordination import (
     write_portfolio_dir,
     write_runs_json,
 )
-from .errors import DataCollectiveError, InvalidInputError, PipelineError
+from .errors import DataCollectiveError, InvalidInputError, PipelineError, read_json_object
 from .goals import build_goal_signals, level_name, mismatch, write_goal_signal
 from .ingest import export_responses, ingest, load_mapping
 from .metrics import (
@@ -114,12 +114,7 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         """Load a config file, rejecting unknown keys and values of the
         wrong JSON type."""
-        try:
-            data = json.loads(Path(path).read_text())
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InvalidInputError(f"{path}: expected a JSON object")
+        data = read_json_object(path)
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")

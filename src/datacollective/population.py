@@ -16,31 +16,34 @@ streams), and each participant's three conditions yield a plan portfolio for
 coordination. Group extraction from (intrinsic, rewarded) privacy pairs uses
 seeded k-means++ with Lloyd iterations.
 
-The dilemma loop runs in ``simulate_conditions``, which steps all
-participants of a condition in lockstep on arrays (one reward table, one
-selection matrix, vectorized retrieval and improvement boxes). It matches the
-single-step path through ``retrieval`` byte for byte: every logged balance is
-a full re-sum over all scenarios, never a running total; row-wise sums and
-means of a C-contiguous (n, m) array equal those of each row on its own; and
-each participant draws from its own condition stream with the same calls in
-the same order (``integers(0, box size)`` is what ``choice`` over the sorted
-box draws). The event log stays in the (n, steps) columns the loop fills
-(``retrieval.EventLog``): no object is built per row, and
-``retrieval.write_event_log`` formats the rows straight from the columns.
+The dilemma loop runs in ``simulate_conditions``, which steps all participants
+of a condition in lockstep on arrays (one reward table, one selection matrix,
+vectorized retrieval and improvement boxes). It matches the single-step path
+through ``retrieval`` byte for byte: every logged balance is a full re-sum
+over all scenarios, never a running total; and the row sums of a C-contiguous
+(n, m) array equal those of each row on its own (a mean is that sum over m, as
+``np.mean`` computes it). Each participant keeps its own condition stream. The
+first pass draws on the real ``Generator``; the reassessment rounds then read
+one block of each stream's raw PCG64 output, and ``_RawStreams`` emulates the
+``random()`` goal draw and the ``integers(0, box size)`` option draw (what
+``choice`` over the sorted box draws) for all participants at once, bit for
+bit. ``TestStreamEmulator`` in the test suite guards that emulation against
+the real calls, so a numpy release that changes them fails there. The event
+log stays in the (n, steps) columns the loop fills (``retrieval.EventLog``):
+no object is built per row, and ``retrieval.write_event_log`` formats the rows
+straight from the columns.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .coordination import Plan, PlanPortfolio
-from .errors import IncompletePortfolioError, InvalidInputError
+from .errors import IncompletePortfolioError, InvalidInputError, read_json_object
 from .retrieval import Event, EventLog
 from .sharing import (
     RewardModel,
@@ -292,6 +295,70 @@ def _condition_rng(participant: Participant, condition: str) -> np.random.Genera
     )
 
 
+class _RawStreams:
+    """``Generator.random()`` and ``Generator.integers(0, size)`` for many
+    PCG64 generators at once, emulated bit for bit from their raw output.
+
+    Each row holds a block of its generator's raw 64-bit output, a cursor
+    into it and numpy's held 32-bit half (``has_uint32``/``uinteger``).
+    ``random()`` is the top 53 bits of the next u64 and leaves the held half
+    alone. ``integers(0, size)`` is numpy's buffered 32-bit Lemire method
+    (Lemire, ACM TOMACS 2019): size 1 draws nothing; otherwise it takes the
+    held high half, or the low half of the next u64 and holds its high half,
+    returns ``(u32 * size) >> 32``, and redraws while the low 32 bits of that
+    product are below ``(2**32 - size) % size``. Rows that run out of raw
+    output get another block from their generators. The ``rows`` passed to
+    a draw are distinct row indices.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], block: int):
+        states = [rng.bit_generator.state for rng in rngs]
+        self.rngs, self.block = rngs, block
+        self.held = np.array([s["has_uint32"] for s in states], dtype=bool)
+        self.half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+        self.cursor = np.zeros(len(rngs), dtype=np.intp)
+        self.raw = self._draw(block)
+
+    def _draw(self, count: int) -> np.ndarray:
+        raw = np.empty((len(self.rngs), count), dtype=np.uint64)
+        for row, rng in zip(raw, self.rngs):
+            row[:] = rng.bit_generator.random_raw(count)
+        return raw
+
+    def _next64(self, rows: np.ndarray) -> np.ndarray:
+        at = self.cursor[rows]
+        if at.size and at.max() >= self.raw.shape[1]:
+            self.raw = np.hstack([self.raw, self._draw(self.block)])
+        self.cursor[rows] = at + 1
+        return self.raw[rows, at]
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        """One ``random()`` per row of ``rows``."""
+        return (self._next64(rows) >> 11) * 2.0**-53
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        fresh = ~self.held[rows]
+        out = self.half[rows]
+        if fresh.any():
+            u = self._next64(rows[fresh])
+            out[fresh] = u & 0xFFFFFFFF
+            self.half[rows[fresh]] = u >> 32
+        self.held[rows] = fresh
+        return out
+
+    def integers(self, rows: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """One ``integers(0, size[i])`` per row ``rows[i]``."""
+        size = size.astype(np.uint64)
+        out = np.zeros(len(rows), dtype=np.intp)
+        todo = np.flatnonzero(size > 1)
+        while todo.size:
+            s = size[todo]
+            product = self._next32(rows[todo]) * s
+            out[todo] = product >> 32
+            todo = todo[(product & 0xFFFFFFFF) < (2**32 - s) % s]
+        return out
+
+
 @dataclass(frozen=True)
 class ConditionRun:
     """One condition for a group of participants: selections in participant
@@ -362,26 +429,30 @@ def simulate_conditions(
         privacy[who, scenario] = (option - 1) / (z - 1)
         scenario_id[who, step] = scenario + 1
         option_log[who, step] = option
-        rewards_after[who, step] = gained[who].sum(axis=1)
-        privacy_after[who, step] = privacy[who].mean(axis=1)
+        rewards_after[who, step] = gained.sum(axis=1)[who]
+        privacy_after[who, step] = privacy.sum(axis=1)[who] / m
 
     active = np.arange(n)
     for j in range(m):
         apply(active, j, first[:, j], j)
     taken = np.full(n, length)
+    # A step draws one u64 for the goal and one 32-bit half for the option,
+    # so the block only grows after a rejected option draw (odds below
+    # size / 2**32 each).
+    rounds = length - m
+    streams = _RawStreams(rngs, rounds + (rounds + 1) // 2) if rounds else None
     p_privacy = np.array([min(1.0, max(0.0, 0.5 + p.behavior.drift)) for p in participants])
     best_gained = table.max(axis=2)
     for step in range(m, length):
-        wants_privacy = np.array([rngs[i].random() for i in active.tolist()]) < p_privacy[active]
+        wants_privacy = streams.random(active) < p_privacy[active]
         # Privacy gains are linear in the level, so the lowest level gains
         # most; reward gains are the best option's reward minus the current.
         # argmin/argmax break ties toward the lowest scenario id.
-        sel, at = selections[active], np.arange(active.size)
-        privacy_target = np.argmin(sel, axis=1)
-        privacy_open = sel[at, privacy_target] < z
-        reward_gain = best_gained[active] - gained[active]
-        reward_target = np.argmax(reward_gain, axis=1)
-        reward_open = reward_gain[at, reward_target] > 0
+        privacy_target = np.argmin(selections, axis=1)[active]
+        privacy_open = selections[active, privacy_target] < z
+        reward_gain = best_gained - gained
+        reward_target = np.argmax(reward_gain, axis=1)[active]
+        reward_open = reward_gain[active, reward_target] > 0
         served = privacy_open | reward_open
         taken[active[~served]] = step
         active = active[served]
@@ -396,10 +467,7 @@ def simulate_conditions(
             levels > current[:, None],
             table[active, scenario] > gained[active, scenario][:, None],
         )
-        picks = np.array([
-            rngs[i].integers(0, size)
-            for i, size in zip(active.tolist(), box.sum(axis=1).tolist())
-        ])
+        picks = streams.integers(active, box.sum(axis=1))
         option = np.argmax(np.cumsum(box, axis=1) > picks[:, None], axis=1) + 1
         goal[active, step] = 1 + privacy_goal
         apply(active, scenario, option, step)
@@ -527,7 +595,7 @@ def build_portfolios(
 # Population spec files: JSON with n, mix, z, seed and policy overrides.
 
 def load_population_spec(path) -> dict:
-    spec = json.loads(Path(path).read_text())
+    spec = read_json_object(path)
     known = {"n", "mix", "z", "seed", "steps", "drift_overrides", "policy_overrides"}
     unknown = set(spec) - known
     if unknown:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,6 +24,8 @@ from .errors import (
     DegenerateProfileError,
     InvalidInputError,
     MissingParameterError,
+    open_text,
+    read_text,
 )
 
 WEIGHT_TOL = 1e-9
@@ -92,11 +95,18 @@ class ScenarioCatalog:
         return tuple(c.size for c in self.criteria)
 
     def index_matrix(self) -> np.ndarray:
-        """0-based (m, k) matrix of element indices, row j for scenario j+1."""
-        return np.array(
+        """0-based (m, k) matrix of element indices, row j for scenario j+1
+        (built once per catalog, read-only)."""
+        return self._index_matrix
+
+    @cached_property
+    def _index_matrix(self) -> np.ndarray:
+        idx = np.array(
             [[o - 1 for o in s.element_indices] for s in self.scenarios],
             dtype=np.intp,
         )
+        idx.setflags(write=False)
+        return idx
 
     def element_mask(self, criterion: int, element: int) -> np.ndarray:
         """Boolean mask over scenarios containing element ``element`` of
@@ -458,7 +468,7 @@ def read_catalog(path: str | Path) -> ScenarioCatalog:
     """Parse a catalog definition file: one ``name = el1, el2, ...`` line per
     criterion, '#' comments allowed, criterion order = file order."""
     criteria = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -503,7 +513,7 @@ def read_weight_profiles(path: str | Path, catalog: ScenarioCatalog) -> list[Wei
     """Load profiles from CSV; the header row is mandatory and validated."""
     expected = profile_csv_header(catalog)
     profiles = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
@@ -515,7 +525,10 @@ def read_weight_profiles(path: str | Path, catalog: ScenarioCatalog) -> list[Wei
                 continue
             if len(row) != len(expected):
                 raise InvalidInputError(f"{path}:{lineno}: wrong column count")
-            values = [float(v) for v in row[1:]]
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError:
+                raise InvalidInputError(f"{path}:{lineno}: not a number in {row}") from None
             k = catalog.k
             crit = np.array(values[:k])
             elems = []

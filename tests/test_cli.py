@@ -210,3 +210,144 @@ def test_goals_rejects_out_of_range_scenario_id(tmp_path, capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A simulated 4-participant run: selections, profiles and portfolios."""
+    sim = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--n", "4", "--steps", "64", "--out", str(sim)]) == 0
+    return sim
+
+
+def test_goals_and_evaluate_report_dropped_participants(small_run, tmp_path):
+    selections = tmp_path / "selections.csv"
+    lines = (small_run / "selections.csv").read_text().splitlines(keepends=True)
+    selections.write_text("".join(
+        line for line in lines if not line.startswith("p0001,intrinsic,5,")
+    ))
+    goals = tmp_path / "goals"
+    assert main(["goals", "--selections", str(selections), "--out", str(goals)]) == 0
+    report = json.loads((goals / "ingest_report.json").read_text())
+    assert report["dropped"] == {
+        "intrinsic": {"incomplete": {"count": 1, "first_ids": ["p0001"]}}
+    }
+
+    plans = tmp_path / "plans"
+    plans.mkdir()
+    for name in ("p0000", "p0002", "p0003"):
+        (plans / f"{name}.plans").write_bytes(
+            (small_run / "portfolios" / f"{name}.plans").read_bytes()
+        )
+    coord = tmp_path / "coord"
+    assert main([
+        "coordinate", "--plans-dir", str(plans),
+        "--goal-file", str(goals / "goal_very_high.csv"),
+        "--iterations", "2", "--repetitions", "1", "--out", str(coord),
+    ]) == 0
+    ev = tmp_path / "eval"
+    assert main([
+        "evaluate", "--selections", str(selections),
+        "--profiles", str(small_run / "profiles.csv"),
+        "--runs-json", str(coord / "coordination_runs.json"),
+        "--plans-dir", str(plans), "--out", str(ev),
+    ]) == 0
+    report = json.loads((ev / "ingest_report.json").read_text())
+    dropped = {"count": 1, "first_ids": ["p0001"]}
+    assert report["dropped"] == {
+        "intrinsic": {"incomplete": dropped},
+        "rewarded1": {"incomplete_elsewhere": dropped},
+        "rewarded2": {"incomplete_elsewhere": dropped},
+    }
+
+
+def _assert_one_error(argv, capsys, *fragments):
+    """The command exits 1 with a single ``error:`` line holding every fragment."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err, (fragment, err)
+
+
+def test_goal_file_with_a_non_number(small_run, tmp_path, capsys):
+    goal = tmp_path / "goal.csv"
+    goal.write_text("scenario_id,value\n1,0.5\n2,abc\n")
+    _assert_one_error([
+        "coordinate", "--plans-dir", str(small_run / "portfolios"),
+        "--goal-file", str(goal), "--out", str(tmp_path / "coord"),
+    ], capsys, f"{goal}:3:")
+
+
+# A JSON object cut off after its second line, and a JSON list.
+NOT_A_JSON_OBJECT = [
+    ('{\n  "n": 4,\n', ":3: malformed JSON"),
+    ('["n", 4]\n', ": expected a JSON object, found list"),
+]
+
+
+@pytest.mark.parametrize("text, fragment", NOT_A_JSON_OBJECT, ids=["truncated", "list"])
+def test_mapping_that_is_not_a_json_object(tmp_path, capsys, text, fragment):
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(text)
+    _assert_one_error([
+        "ingest", "--responses", str(tmp_path / "raw.csv"), "--mapping", str(mapping),
+        "--out", str(tmp_path / "ingested"),
+    ], capsys, f"{mapping}{fragment}")
+
+
+@pytest.mark.parametrize("text, fragment", NOT_A_JSON_OBJECT, ids=["truncated", "list"])
+def test_population_spec_that_is_not_a_json_object(tmp_path, capsys, text, fragment):
+    spec = tmp_path / "population.json"
+    spec.write_text(text)
+    _assert_one_error([
+        "simulate", "--population-spec", str(spec), "--out", str(tmp_path / "sim"),
+    ], capsys, f"{spec}{fragment}")
+
+
+def test_selections_that_are_not_utf8(tmp_path, capsys):
+    selections = tmp_path / "selections.csv"
+    selections.write_bytes(
+        b"participant_id,condition,scenario_id,selection,timestamp\n"
+        b"p1,intrinsic,1,3,0\n"
+        b"p\xff2,intrinsic,1,3,0\n"
+    )
+    _assert_one_error([
+        "goals", "--selections", str(selections), "--out", str(tmp_path / "goals"),
+    ], capsys, f"{selections}:3: not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["goals", "evaluate"])
+def test_missing_selections_file(small_run, tmp_path, capsys, command):
+    selections = tmp_path / "missing.csv"
+    argv = [command, "--selections", str(selections), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += [
+            "--profiles", str(small_run / "profiles.csv"),
+            "--runs-json", str(tmp_path / "runs.json"),
+            "--plans-dir", str(small_run / "portfolios"),
+        ]
+    _assert_one_error(argv, capsys, f"{selections}: cannot read")
+    assert not (tmp_path / "out").exists()
+
+
+def test_profiles_and_response_files_that_cannot_be_read(small_run, tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    evaluate = [
+        "evaluate", "--selections", str(small_run / "selections.csv"),
+        "--runs-json", str(tmp_path / "runs.json"),
+        "--plans-dir", str(small_run / "portfolios"), "--out", str(tmp_path / "eval"),
+    ]
+    _assert_one_error(evaluate + ["--profiles", str(missing)], capsys, f"{missing}: cannot read")
+    profiles = tmp_path / "profiles.csv"
+    lines = (small_run / "profiles.csv").read_text().splitlines()
+    profiles.write_text("\n".join(lines[:2] + [lines[2].replace(",", ",x", 1)]) + "\n")
+    _assert_one_error(evaluate + ["--profiles", str(profiles)], capsys, f"{profiles}:3:")
+
+    conjoint = ["conjoint", "--out", str(tmp_path / "conjoint"), "--response"]
+    _assert_one_error(conjoint + [str(missing)], capsys, f"{missing}: cannot read")
+    response = tmp_path / "response.csv"
+    response.write_bytes(b"scenario_id,value\n1,0.5\n2,\xff\n")
+    _assert_one_error(conjoint + [str(response)], capsys, f"{response}:3: not UTF-8")
+    response.write_text("scenario_id,value\n1,0.5\n2,abc\n")
+    _assert_one_error(conjoint + [str(response)], capsys, f"{response}:3: not a number")

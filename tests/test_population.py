@@ -15,6 +15,7 @@ from datacollective.population import (
     REWARD_OPPORTUNIST,
     REWARD_SEEKER,
     GroupBehavior,
+    _RawStreams,
     build_portfolio,
     default_behaviors,
     extract_groups,
@@ -294,6 +295,85 @@ class TestLockstepKernel:
                 lost += run.lost_steps
         assert lost > 0
         assert rows == n * (catalog.m + 2 * steps) - lost
+
+
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def zero_output_generator(seed):
+    """A PCG64 generator whose next raw output is 0. PCG64 steps its 128-bit
+    state, then outputs the XOR of the new state's halves, rotated; so the
+    state is set to the preimage of one with equal halves."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    half = 0x0123456789ABCDEF
+    target = (half << 64) | half
+    state["state"]["state"] = (target - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestStreamEmulator:
+    """``_RawStreams`` against the real ``Generator`` calls it emulates for
+    the dilemma loop. A numpy release that changes how ``random()`` or
+    ``integers(0, size)`` consume PCG64 output fails here."""
+
+    @staticmethod
+    def assert_in_step(streams, reals):
+        """Same held half as each real generator, and the same next output."""
+        for i, real in enumerate(reals):
+            state = real.bit_generator.state
+            assert bool(streams.held[i]) == bool(state["has_uint32"])
+            assert int(streams.half[i]) == state["uinteger"]
+        rows = np.arange(len(reals))
+        assert streams._next64(rows).tolist() == [r.bit_generator.random_raw() for r in reals]
+
+    def run_draws(self, seeds, draws, block):
+        """Interleave ``random()`` and ``integers(0, 1..5)`` on every row,
+        leaving out a random fifth of the rows at each draw as the lockstep
+        loop leaves out saturated participants."""
+        reals = [np.random.default_rng(s) for s in seeds]
+        twins = [np.random.default_rng(s) for s in seeds]
+        for real, twin in zip(reals[::2], twins[::2]):
+            # half the rows start with a high half held
+            assert real.integers(0, 3) == twin.integers(0, 3)
+        streams = _RawStreams(twins, block)
+        schedule = np.random.default_rng(len(reals))
+        for _ in range(draws):
+            rows = np.flatnonzero(schedule.random(len(reals)) < 0.8)
+            sizes = schedule.integers(1, 6, size=rows.size)
+            expected = [reals[i].random() for i in rows.tolist()]
+            assert streams.random(rows).tolist() == expected
+            expected = [reals[i].integers(0, s) for i, s in zip(rows.tolist(), sizes.tolist())]
+            assert streams.integers(rows, sizes).tolist() == expected
+        self.assert_in_step(streams, reals)
+        return streams
+
+    def test_matches_generator_calls(self):
+        streams = self.run_draws(range(200), 300, block=600)
+        assert streams.raw.shape[1] == 600
+
+    @pytest.mark.parametrize("size, used", [(2, 1), (3, 2), (4, 1), (5, 2)])
+    def test_rejected_draws_are_redrawn(self, size, used):
+        # A half of 0 is rejected by sizes 3 and 5 (threshold 1) and kept by
+        # sizes 2 and 4 (threshold 0); no seed search reaches one.
+        assert zero_output_generator(0).bit_generator.random_raw() == 0
+        reals = [zero_output_generator(0), np.random.default_rng(1)]
+        twins = [zero_output_generator(0), np.random.default_rng(1)]
+        streams = _RawStreams(twins, 4)
+        drawn = streams.integers(np.arange(2), np.array([size, size]))
+        assert drawn.tolist() == [real.integers(0, size) for real in reals]
+        # Sizes 3 and 5 reject both halves of the zero output and take the
+        # low half of the next one; every draw holds the high half of the
+        # last output it used. The other row draws once.
+        assert streams.cursor.tolist() == [used, 1]
+        assert streams.held.tolist() == [True, True]
+        self.assert_in_step(streams, reals)
+
+    def test_short_block_grows(self):
+        streams = self.run_draws(range(5), 100, block=3)
+        assert streams.raw.shape[1] > 3
 
 
 class TestPortfolios:

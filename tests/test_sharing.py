@@ -74,6 +74,16 @@ class TestEnumeration:
         with pytest.raises(InvalidInputError):
             Criterion("dup", ("a", "a"))
 
+    def test_index_matrix_is_built_once_and_read_only(self):
+        cat = enumerate_scenarios(
+            [Criterion("first", ("a", "b")), Criterion("second", ("x", "y", "z"))]
+        )
+        idx = cat.index_matrix()
+        assert idx is cat.index_matrix()
+        assert idx.tolist() == [[o - 1 for o in s.element_indices] for s in cat.scenarios]
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+
     def test_element_mask_counts(self, catalog):
         for u in (1, 2, 3):
             for o in (1, 2, 3, 4):
