@@ -10,27 +10,9 @@ partworths).
 
 __version__ = "0.1.0"
 
-from .coordination import (
-    CoordinationRun,
-    CostWeights,
-    Plan,
-    PlanPortfolio,
-    TreeTopology,
-    build_tree,
-    coordinate,
-    global_cost,
-    selection_summary,
-)
-from .goals import GoalSignal, MismatchReport, build_goal_signals, mismatch, standardize
-from .population import (
-    GroupBehavior,
-    SyntheticPopulation,
-    build_portfolio,
-    extract_groups,
-    generate_population,
-    simulate_condition,
-    simulate_conditions,
-)
+from .coordination import CostWeights, coordinate, global_cost, selection_summary
+from .goals import build_goal_signals, mismatch
+from .population import generate_population
 from .retrieval import (
     IMPROVE_PRIVACY,
     IMPROVE_REWARDS,
@@ -42,53 +24,33 @@ from .retrieval import (
 )
 from .sharing import (
     Budget,
-    Criterion,
     RewardModel,
-    Scenario,
-    ScenarioCatalog,
     SelectionVector,
     ValuationScheme,
     WeightProfile,
     default_catalog,
-    enumerate_scenarios,
     geometric_rewards,
     linear_rewards,
     max_rewards,
     privacy_cost,
     privacy_score,
-    total_weight,
 )
 
 __all__ = [
     "__version__",
     "Budget",
     "BalanceState",
-    "CoordinationRun",
     "CostWeights",
-    "Criterion",
-    "GoalSignal",
-    "GroupBehavior",
     "IMPROVE_PRIVACY",
     "IMPROVE_REWARDS",
-    "MismatchReport",
-    "Plan",
-    "PlanPortfolio",
     "RewardModel",
-    "Scenario",
-    "ScenarioCatalog",
     "SelectionVector",
-    "SyntheticPopulation",
-    "TreeTopology",
     "ValuationScheme",
     "WeightProfile",
     "apply_choice",
     "build_goal_signals",
-    "build_portfolio",
-    "build_tree",
     "coordinate",
     "default_catalog",
-    "enumerate_scenarios",
-    "extract_groups",
     "generate_population",
     "geometric_rewards",
     "global_cost",
@@ -101,8 +63,4 @@ __all__ = [
     "privacy_score",
     "retrieve_next",
     "selection_summary",
-    "simulate_condition",
-    "simulate_conditions",
-    "standardize",
-    "total_weight",
 ]

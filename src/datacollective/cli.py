@@ -18,7 +18,7 @@ import numpy as np
 
 from .conjoint import read_response_csv
 from .coordination import CostWeights, read_portfolio_dir, read_run_choices
-from .errors import DataCollectiveError
+from .errors import DataCollectiveError, InvalidInputError
 from .goals import build_goal_signals, read_goal_signal
 from .ingest import export_responses, ingest, load_mapping
 from .metrics import ConditionSnapshot
@@ -182,10 +182,9 @@ def cmd_ingest(args) -> None:
         provenance=args.responses,
     )
     out = _outdir(args)
-    simulations = {}
-    for condition in sorted(bundle.conditions()):
-        for pid, sv in bundle.selection_vectors(condition, catalog.m, args.z, report).items():
-            simulations.setdefault(pid, {})[condition] = sv
+    simulations = bundle.selections_by_participant(
+        sorted(bundle.conditions()), catalog.m, args.z, report
+    )
     export_responses(out / "selections.csv", simulations)
     report.write_json(out / "ingest_report.json")
     print(
@@ -237,6 +236,13 @@ def cmd_evaluate(args) -> None:
     }
     # The .plans files carry no labels; the pipeline writes plans in CONDITIONS order.
     portfolios = read_portfolio_dir(args.plans_dir, labels=list(CONDITIONS))
+    agents, selected = {p.agent_id for p in portfolios}, set(simulations)
+    if agents != selected:
+        raise InvalidInputError(
+            f"{args.plans_dir} and {args.selections} cover different participants: "
+            f"only in {args.plans_dir}: {sorted(agents - selected)[:5]}, "
+            f"only in {args.selections}: {sorted(selected - agents)[:5]}"
+        )
     coordinated = ConditionSnapshot.from_choices(
         "coordinated", portfolios, read_run_choices(args.runs_json), args.z
     )

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidWeightsError, read_text
+from .errors import InvalidInputError, InvalidWeightsError, read_json_object, read_text
 from .goals import GoalSignal, standardize
 
 WEIGHT_TOL = 1e-12
@@ -447,7 +447,15 @@ def read_portfolio_dir(
     paths = sorted(Path(directory).glob("*.plans"))
     if not paths:
         raise InvalidInputError(f"no .plans files under {directory}")
-    return [read_portfolio(p, labels=labels) for p in paths]
+    portfolios = [read_portfolio(p, labels=labels) for p in paths]
+    length = portfolios[0].plan_length
+    for path, portfolio in zip(paths, portfolios):
+        if portfolio.plan_length != length:
+            raise InvalidInputError(
+                f"{path}: plans of length {portfolio.plan_length}, "
+                f"but {paths[0].name} has plans of length {length}"
+            )
+    return portfolios
 
 
 def run_to_dict(run: CoordinationRun) -> dict:
@@ -472,9 +480,9 @@ def write_runs_json(path: str | Path, runs: Sequence[CoordinationRun]) -> None:
 
 def read_run_choices(path: str | Path) -> list[list[int]]:
     """Every run's final plan choice per agent, from a runs JSON file."""
+    data = read_json_object(path)
     try:
-        runs = json.loads(Path(path).read_text())["runs"]
-        return [[int(k) for k in run["final_selections"]] for run in runs]
+        return [[int(k) for k in run["final_selections"]] for run in data["runs"]]
     except (ValueError, TypeError, KeyError) as exc:
         raise InvalidInputError(f"{path}: not a coordination runs file ({exc!r})") from exc
 

@@ -132,6 +132,18 @@ class DatasetBundle:
             report.drop(condition, "incomplete", incomplete)
         return vectors
 
+    def selections_by_participant(
+        self, conditions: Sequence[str], m: int, z: int = 5,
+        report: IngestReport | None = None,
+    ) -> dict[str, dict[str, SelectionVector]]:
+        """``selection_vectors`` of each of ``conditions``, by participant and
+        condition; a participant appears under the conditions it completed."""
+        by_participant: dict[str, dict[str, SelectionVector]] = {}
+        for condition in conditions:
+            for pid, sv in self.selection_vectors(condition, m, z, report).items():
+                by_participant.setdefault(pid, {})[condition] = sv
+        return by_participant
+
     def complete_selections(
         self, conditions: Sequence[str], m: int, z: int = 5,
         report: IngestReport | None = None,
@@ -141,10 +153,7 @@ class DatasetBundle:
         ``report``, a participant left out is recorded under each condition:
         ``incomplete`` where its set is incomplete, ``incomplete_elsewhere``
         where it is complete but another condition's is not."""
-        by_participant: dict[str, dict[str, SelectionVector]] = {}
-        for condition in conditions:
-            for pid, sv in self.selection_vectors(condition, m, z, report).items():
-                by_participant.setdefault(pid, {})[condition] = sv
+        by_participant = self.selections_by_participant(conditions, m, z, report)
         complete = {
             pid: conds for pid, conds in by_participant.items()
             if len(conds) == len(conditions)

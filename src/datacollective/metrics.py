@@ -21,6 +21,7 @@ from . import sharing
 from .coordination import CoordinationRun, PlanPortfolio
 from .errors import InvalidInputError
 from .goals import GoalSignal, mismatch
+from .population import INTRINSIC
 from .sharing import RewardModel, ScenarioCatalog, SelectionVector, WeightProfile
 
 RECOVERY_EPS = 1e-9
@@ -231,7 +232,6 @@ def collection_cost(
     reward_model: RewardModel,
     catalog: ScenarioCatalog,
     include_intrinsic_value: bool = True,
-    intrinsic_label: str = "intrinsic",
     label: str | None = None,
 ) -> CostReport:
     """Total rewards paid out for the snapshot's selections.
@@ -240,15 +240,9 @@ def collection_cost(
     ``include_intrinsic_value`` off, choices of the unrewarded plan cost
     nothing (that data was volunteered).
     """
-    _check_catalog(snapshot, catalog)
     if snapshot.z != reward_model.z:
         raise InvalidInputError("snapshot and reward model disagree on levels")
-    rmax_rows = []
-    for pid in snapshot.participant_ids:
-        if pid not in profiles:
-            raise InvalidInputError(f"no weight profile for participant '{pid}'")
-        rmax_rows.append(reward_model.max_rewards(profiles[pid], catalog))
-    rmax = np.stack(rmax_rows)  # (participants, m)
+    rmax = _reward_table(snapshot, profiles, reward_model, catalog)
 
     reps = snapshot.selections.shape[0]
     totals = np.zeros(reps)
@@ -257,7 +251,7 @@ def collection_cost(
         per_participant = rewards.sum(axis=1)
         if not include_intrinsic_value and snapshot.plan_labels is not None:
             free = np.array(
-                [label == intrinsic_label for label in snapshot.plan_labels[r]]
+                [label == INTRINSIC for label in snapshot.plan_labels[r]]
             )
             per_participant = np.where(free, 0.0, per_participant)
         totals[r] = per_participant.sum()
@@ -276,10 +270,7 @@ def participant_rewards(
     catalog: ScenarioCatalog,
 ) -> np.ndarray:
     """Gained rewards per participant, averaged over repetitions."""
-    _check_catalog(snapshot, catalog)
-    rmax = np.stack(
-        [reward_model.max_rewards(profiles[pid], catalog) for pid in snapshot.participant_ids]
-    )
+    rmax = _reward_table(snapshot, profiles, reward_model, catalog)
     rewards = reward_model.option_rewards(rmax[None, :, :], snapshot.selections)
     return rewards.sum(axis=2).mean(axis=0)
 
@@ -358,6 +349,22 @@ def privacy_recovery(
 def _check_catalog(snapshot: ConditionSnapshot, catalog: ScenarioCatalog) -> None:
     if snapshot.m != catalog.m:
         raise InvalidInputError("snapshot scenario count does not match catalog")
+
+
+def _reward_table(
+    snapshot: ConditionSnapshot,
+    profiles: Mapping[str, WeightProfile],
+    reward_model: RewardModel,
+    catalog: ScenarioCatalog,
+) -> np.ndarray:
+    """The (participants, m) rmax table in the snapshot's participant order."""
+    _check_catalog(snapshot, catalog)
+    missing = [pid for pid in snapshot.participant_ids if pid not in profiles]
+    if missing:
+        raise InvalidInputError(f"no weight profile for participant '{missing[0]}'")
+    return reward_model.reward_table(
+        [profiles[pid] for pid in snapshot.participant_ids], catalog
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 
 from .coordination import Plan, PlanPortfolio
 from .errors import IncompletePortfolioError, InvalidInputError, read_json_object
-from .retrieval import Event, EventLog
+from .retrieval import EventLog
 from .sharing import (
     RewardModel,
     ScenarioCatalog,
@@ -408,7 +408,7 @@ def simulate_conditions(
         else _draw_intrinsic(p.behavior, m, rng, contention)
         for p, rng in zip(participants, rngs)
     ], dtype=np.intp).reshape(n, m)
-    rmax = np.array([reward_model.max_rewards(p.profile, catalog) for p in participants])
+    rmax = reward_model.reward_table([p.profile for p in participants], catalog)
     table = reward_model.option_rewards(rmax.reshape(n, m, 1), levels)  # (n, m, z)
 
     # Unanswered scenarios count as share-nothing. ``gained`` and ``privacy``
@@ -487,21 +487,6 @@ def simulate_conditions(
         ),
         saturated, lost_steps,
     )
-
-
-def simulate_condition(
-    participant: Participant,
-    condition: str,
-    steps: int,
-    catalog: ScenarioCatalog | None = None,
-    reward_model: RewardModel | None = None,
-    contention: np.ndarray | None = None,
-) -> tuple[SelectionVector, list[Event]]:
-    """Simulate one condition for one participant (see simulate_conditions)."""
-    run = simulate_conditions(
-        [participant], condition, steps, catalog, reward_model, contention
-    )
-    return run.selections[0], list(run.events)
 
 
 def _draw_intrinsic(

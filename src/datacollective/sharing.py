@@ -115,9 +115,7 @@ class ScenarioCatalog:
             raise InvalidInputError(f"criterion index {criterion} out of range")
         if not 1 <= element <= self.criteria[criterion - 1].size:
             raise InvalidInputError(f"element index {element} out of range")
-        return np.array(
-            [s.element_indices[criterion - 1] == element for s in self.scenarios]
-        )
+        return self.index_matrix()[:, criterion - 1] == element - 1
 
     def scenario_labels(self) -> list[str]:
         """Human-readable label per scenario, e.g. ``gps/cor/soc``."""
@@ -287,38 +285,49 @@ class SelectionVector:
         return SelectionVector(sel, self.z)
 
 
-def scenario_weights(profile: WeightProfile, catalog: ScenarioCatalog) -> np.ndarray:
-    """Vector of all m scenario weights."""
-    if not profile.matches(catalog):
-        raise InvalidInputError("profile dimensions do not match catalog")
-    idx = catalog.index_matrix()
-    cols = [
-        profile.criterion_weights[u] * profile.element_weights[u][idx[:, u]]
-        for u in range(catalog.k)
-    ]
-    return np.sum(cols, axis=0)
+def reward_table(
+    profiles: Sequence[WeightProfile], catalog: ScenarioCatalog, pool: float
+) -> np.ndarray:
+    """Allocate a budget pool across scenarios for many profiles at once.
 
-
-def total_weight(profile: WeightProfile, catalog: ScenarioCatalog) -> float:
-    """Sum of all scenario weights."""
-    return float(scenario_weights(profile, catalog).sum())
+    Row i is profile i's rmax: each scenario's weight (the sum over criteria
+    of the criterion weight times the weight of the scenario's element in
+    it) over the profile's total weight, times ``pool``, so every row sums
+    to ``pool`` up to floating-point tolerance. The table is a C-contiguous
+    (n, m) array. A row equals the table of that profile alone bit for bit:
+    the criteria are added in order, and the row sums run on the contiguous
+    table (on a Fortran-ordered one they can differ in the last bit).
+    """
+    if pool < 0:
+        raise InvalidInputError("budget pool must be non-negative")
+    for profile in profiles:
+        if not profile.matches(catalog):
+            raise InvalidInputError(
+                f"profile of participant '{profile.participant_id}' does not "
+                "match the catalog dimensions"
+            )
+    n, idx = len(profiles), catalog.index_matrix()
+    weights = np.zeros((n, catalog.m))
+    for u, q in enumerate(catalog.sizes):
+        criterion = np.array([p.criterion_weights[u] for p in profiles])
+        elements = np.array([p.element_weights[u] for p in profiles]).reshape(n, q)
+        weights += criterion[:, None] * elements[:, idx[:, u]]
+    totals = weights.sum(axis=1)
+    degenerate = np.flatnonzero(totals <= 0)
+    if degenerate.size:
+        raise DegenerateProfileError(
+            f"participant '{profiles[degenerate[0]].participant_id}': "
+            "total scenario weight is zero"
+        )
+    return weights / totals[:, None] * pool
 
 
 def max_rewards(
     profile: WeightProfile, catalog: ScenarioCatalog, pool: float
 ) -> np.ndarray:
-    """Allocate a budget pool across scenarios proportionally to their weights.
-
-    The allocation conserves the pool: the returned vector sums to ``pool``
-    up to floating-point tolerance.
-    """
-    if pool < 0:
-        raise InvalidInputError("budget pool must be non-negative")
-    weights = scenario_weights(profile, catalog)
-    w_total = weights.sum()
-    if w_total <= 0:
-        raise DegenerateProfileError("total scenario weight is zero")
-    return weights / w_total * pool
+    """One profile's row of ``reward_table``: the pool split across
+    scenarios in proportion to their weights."""
+    return reward_table([profile], catalog, pool)[0]
 
 
 def linear_rewards(rmax: float | np.ndarray, s: int | np.ndarray, z: int) -> float | np.ndarray:
@@ -446,6 +455,11 @@ class RewardModel:
     @property
     def pool(self) -> float:
         return self.budget.sharing if self.mode == LINEAR else self.budget.total
+
+    def reward_table(
+        self, profiles: Sequence[WeightProfile], catalog: ScenarioCatalog
+    ) -> np.ndarray:
+        return reward_table(profiles, catalog, self.pool)
 
     def max_rewards(self, profile: WeightProfile, catalog: ScenarioCatalog) -> np.ndarray:
         return max_rewards(profile, catalog, self.pool)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -343,6 +344,11 @@ def test_profiles_and_response_files_that_cannot_be_read(small_run, tmp_path, ca
     lines = (small_run / "profiles.csv").read_text().splitlines()
     profiles.write_text("\n".join(lines[:2] + [lines[2].replace(",", ",x", 1)]) + "\n")
     _assert_one_error(evaluate + ["--profiles", str(profiles)], capsys, f"{profiles}:3:")
+    runs = tmp_path / "runs.json"
+    _assert_one_error(
+        evaluate + ["--profiles", str(small_run / "profiles.csv")], capsys,
+        f"{runs}: cannot read",
+    )
 
     conjoint = ["conjoint", "--out", str(tmp_path / "conjoint"), "--response"]
     _assert_one_error(conjoint + [str(missing)], capsys, f"{missing}: cannot read")
@@ -351,3 +357,64 @@ def test_profiles_and_response_files_that_cannot_be_read(small_run, tmp_path, ca
     _assert_one_error(conjoint + [str(response)], capsys, f"{response}:3: not UTF-8")
     response.write_text("scenario_id,value\n1,0.5\n2,abc\n")
     _assert_one_error(conjoint + [str(response)], capsys, f"{response}:3: not a number")
+
+
+@pytest.fixture(scope="module")
+def small_coordination(small_run, tmp_path_factory):
+    """Goal signals of ``small_run`` and one short coordination of its portfolios."""
+    out = tmp_path_factory.mktemp("coord")
+    assert main(["goals", "--selections", str(small_run / "selections.csv"),
+                 "--out", str(out)]) == 0
+    assert main([
+        "coordinate", "--plans-dir", str(small_run / "portfolios"),
+        "--goal-file", str(out / "goal_very_high.csv"),
+        "--iterations", "2", "--repetitions", "1", "--out", str(out),
+    ]) == 0
+    return out
+
+
+def _evaluate_small(small_run, small_coordination, tmp_path, selections, plans):
+    return [
+        "evaluate", "--selections", str(selections),
+        "--profiles", str(small_run / "profiles.csv"),
+        "--runs-json", str(small_coordination / "coordination_runs.json"),
+        "--plans-dir", str(plans), "--out", str(tmp_path / "eval"),
+    ]
+
+
+def test_evaluate_names_participants_without_selections(
+    small_run, small_coordination, tmp_path, capsys
+):
+    # p0001 is dropped from the selections but still has a .plans file
+    selections = tmp_path / "selections.csv"
+    lines = (small_run / "selections.csv").read_text().splitlines(keepends=True)
+    selections.write_text("".join(
+        line for line in lines if not line.startswith("p0001,intrinsic,1,")
+    ))
+    plans = small_run / "portfolios"
+    _assert_one_error(
+        _evaluate_small(small_run, small_coordination, tmp_path, selections, plans), capsys,
+        f"{plans} and {selections} cover different participants",
+        f"only in {plans}: ['p0001']", f"only in {selections}: []",
+    )
+
+
+def test_plans_of_different_lengths(small_run, small_coordination, tmp_path, capsys):
+    plans = tmp_path / "plans"
+    shutil.copytree(small_run / "portfolios", plans)
+    short = plans / "p0002.plans"
+    short.write_text("".join(
+        line.rsplit(",", 1)[0] + "\n" for line in short.read_text().splitlines()
+    ))
+    fragment = f"{short}: plans of length 63, but p0000.plans has plans of length 64"
+    _assert_one_error([
+        "coordinate", "--plans-dir", str(plans),
+        "--goal-file", str(small_coordination / "goal_very_high.csv"),
+        "--out", str(tmp_path / "coord"),
+    ], capsys, fragment)
+    _assert_one_error(
+        _evaluate_small(
+            small_run, small_coordination, tmp_path, small_run / "selections.csv", plans
+        ),
+        capsys, fragment,
+    )

@@ -2,9 +2,9 @@
 
 The config is the one ``test_pipeline_determinism`` uses (n=24, 96 steps,
 15 iterations x 4 repetitions, master seed 7), once with the default cost
-weights and once with alpha=0.3, beta=0.2. A refactor or speed-up must leave
-every hash unchanged; a change that alters an artifact on purpose updates the
-hashes here and says why in CHANGES.md.
+weights, once with alpha=0.3, beta=0.2 and once with geometric rewards. A
+refactor or speed-up must leave every hash unchanged; a change that alters an
+artifact on purpose updates the hashes here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
+from datacollective import sharing
 from datacollective.ingest import ingest
 from datacollective.pipeline import ExperimentConfig, run_pipeline
 from datacollective.population import CONDITIONS
@@ -130,21 +131,110 @@ WEIGHTED = {
         "a0efab1b0c61dcc1a3b3c92da5ee5e7608ff62c10b10d8243b6c89f5cc648a9f",
 }
 
+# Geometric rewards (pool = total budget) change every artifact the rewarded
+# conditions reach; the intrinsic selections, goal signals and conjoint fit
+# do not depend on the reward mode.
+GEOMETRIC = {
+    **PLAIN,
+    "coordination_runs.json":
+        "bfd157d93296d0791e7724d9cc6f478a0fcdb4aace9f1317ea7a9b30f9cdd000",
+    "coordination_summary.json":
+        "c96193da04a6ebef0cfa4002a284b48948e9640081dea4d8d001cb40c88272e7",
+    "cost_trace.csv":
+        "9e46e621a78e74e06bc7a72633b44f769487aa743e3e81b3a92424eab1adb909",
+    "costs.csv":
+        "8e7a697d8e3a9a576b09a98f6a42f6a65b4d2470ccc82473f2ac2b8565c7930b",
+    "evaluation.json":
+        "a0a698b09b0e454cc20582c2756da607fc9e0f3d1b008697bedf2452ddbce452",
+    "events_intrinsic.csv":
+        "2638800c3554b6dc5530ca5bb213f4b86d47de4e61a32410d21f320c23a84634",
+    "events_rewarded1.csv":
+        "3a1d3dec48ffa98bf6c69e1b473b55ff50c4e3d191e9c8576edcec40ef435c52",
+    "events_rewarded2.csv":
+        "c090edb5ac9ede00a263856a844dea45f9644fcc4f51f0154dea9181a5f34f1e",
+    "manifest.json":
+        "f2a7218fee5c86f9dfe48b61f6ddd831c575d26c4a95a419beba4d6da42e86d7",
+    "mismatch_by_scenario.csv":
+        "c20be7368524b7d9ef3e451a7e5227dc7bd42e3ef8c374164c4e829bc1f8bfeb",
+    "portfolios/p0001.plans":
+        "7c1753faa9d72e455192f7f5a27feeece35560a129275dae16fbff4d12588380",
+    "portfolios/p0003.plans":
+        "5a2496f39f4c361acf4b3c64511b718b558dfff65e566e215458af7d1944dc76",
+    "portfolios/p0004.plans":
+        "922613a1fb1a8c84905c87cda26a4c27cd9d57ebab9e84394fbe6b7b1b1ae93f",
+    "portfolios/p0005.plans":
+        "521369d98759ef0474cccb1b08f71da8a5f913b490c324b54044bfac9b0788e2",
+    "portfolios/p0006.plans":
+        "4d4cf8b162e5790b1457673c883da15359cda982e48a80a904737b8ae5975a9e",
+    "portfolios/p0007.plans":
+        "00a1da5d6ebf84e397082b285f934a21ddc416d9cb3c48fb5d9c42a68c474797",
+    "portfolios/p0008.plans":
+        "49995adbbe8377f253c6973fa74b457961c995ab42cb1713d4f4ca99414aee8f",
+    "portfolios/p0009.plans":
+        "3b940af17a80887a9b47a9bc3609ba9d93980e47671906ee14f09d4f6ca56968",
+    "portfolios/p0010.plans":
+        "b4a5d276183d180a133bc418430b06db423ae0c0282c02d604c1d2aa29d9d35b",
+    "portfolios/p0013.plans":
+        "208d8affbbe0d8d4fd7ec7b9a99c362b2229cb43fc9c3a53e7067f6539e8f0eb",
+    "portfolios/p0014.plans":
+        "dccc1fe6ed016816c43f5ede71e750cded8ac7042b7391b699f9e85dddf677cc",
+    "portfolios/p0015.plans":
+        "2cbdc3ca7b81957473ad93f2f11c524f51d99ecf5b4b0bf5003b8f2565369ad9",
+    "portfolios/p0016.plans":
+        "70c16a497d9a7f46a7f63df275c90cd4e2ae2126b64ccab2c95edea04d58f8b3",
+    "portfolios/p0017.plans":
+        "f79bcd9e46974604a3c38db7f73d76e96b5266128a155214f01fc083da2dcf4e",
+    "portfolios/p0018.plans":
+        "a7969bf5fd4bd4e3538eafd6d57d86ed641e28da90ba9a969086343aefac2803",
+    "portfolios/p0019.plans":
+        "e5cf2667359047a1a0ed17d7d8fa0562bf4bdce5e87759eaaa77ae071cc3690d",
+    "portfolios/p0020.plans":
+        "99f43ae5c4a711ef60644c79e9a9b7462d18094239621f885fb526d4d1947db7",
+    "portfolios/p0021.plans":
+        "e4a3974634442f92750b4d97129e1bab08c325ba2baa98e9f9c1b6cc146e5342",
+    "portfolios/p0022.plans":
+        "fbc3e35e4dadb6270d0dbe0ae2e3e67a6401b0f7407e351e8defc2de428130c8",
+    "privacy_by_scenario.csv":
+        "39ab3f04930b29bcbf4dfb8c2e27abacb673ea6ee5cb6d094615e268ce2376fb",
+    "selections.csv":
+        "b33f220eed7456ea3c0686dca780d6917290ddb0e33a17a9a8f9ee6d233d8975",
+}
+
 
 @pytest.mark.parametrize(
-    "weights, expected",
-    [({}, PLAIN), ({"alpha": 0.3, "beta": 0.2}, WEIGHTED)],
-    ids=["plain", "weighted"],
+    "overrides, expected",
+    [
+        ({}, PLAIN),
+        ({"alpha": 0.3, "beta": 0.2}, WEIGHTED),
+        ({"reward_mode": "geometric"}, GEOMETRIC),
+    ],
+    ids=["plain", "weighted", "geometric"],
 )
-def test_artifact_hashes(tmp_path, weights, expected):
-    config = ExperimentConfig(**GOLDEN, output_dir=str(tmp_path), **weights)
-    root = run_pipeline(config)
-    actual = {
+def test_artifact_hashes(tmp_path, overrides, expected):
+    config = ExperimentConfig(**GOLDEN, output_dir=str(tmp_path), **overrides)
+    assert _hashes(run_pipeline(config)) == expected
+
+
+def test_no_stage_allocates_rewards_per_participant(tmp_path, monkeypatch):
+    """Every stage prices choices from one batched reward table: with the
+    one-profile allocation patched to raise, the golden run still writes
+    the pinned artifacts."""
+
+    def per_participant(*args, **kwargs):
+        raise AssertionError("reward allocation for a single participant")
+
+    monkeypatch.setattr(sharing, "max_rewards", per_participant)
+    monkeypatch.setattr(sharing.RewardModel, "max_rewards", per_participant)
+    config = ExperimentConfig(**GOLDEN, output_dir=str(tmp_path))
+    assert _hashes(run_pipeline(config)) == PLAIN
+
+
+def _hashes(root):
+    return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
-    assert actual == expected
 
 
 def test_event_logs_replay(tmp_path):

@@ -24,7 +24,6 @@ from datacollective.population import (
     level_distribution,
     load_population_spec,
     population_from_spec,
-    simulate_condition,
     simulate_conditions,
     simulate_population,
 )
@@ -154,11 +153,11 @@ class TestSimulateCondition:
             1, mix={PRIVACY_PRESERVER: 1.0}, master_seed=5,
             behaviors={PRIVACY_PRESERVER: behavior},
         )
-        selection, events = simulate_condition(
-            population.participants[0], "intrinsic", 64, catalog, RewardModel()
+        run = simulate_conditions(
+            population.participants, "intrinsic", 64, catalog, RewardModel()
         )
-        assert privacy_score(selection) == 1.0
-        assert len(events) == 64
+        assert privacy_score(run.selections[0]) == 1.0
+        assert len(run.events) == 64
 
     def test_opportunist_privacy_ordering(self, catalog):
         population = generate_population(
@@ -168,11 +167,11 @@ class TestSimulateCondition:
         for participant in population.participants:
             sims = {}
             for condition in ("intrinsic", "rewarded1"):
-                selection, _ = simulate_condition(
-                    participant, condition, 128, catalog, RewardModel(),
+                run = simulate_conditions(
+                    [participant], condition, 128, catalog, RewardModel(),
                     contention=population.contention,
                 )
-                sims[condition] = selection
+                sims[condition] = run.selections[0]
             intrinsic.append(privacy_score(sims["intrinsic"]))
             rewarded.append(privacy_score(sims["rewarded1"]))
         assert np.mean(intrinsic) > np.mean(rewarded)
@@ -187,23 +186,21 @@ class TestSimulateCondition:
         )
         first_pass, final = [], []
         for participant in population.participants:
-            selection, events = simulate_condition(
-                participant, "rewarded1", 192, catalog, RewardModel()
-            )
-            last_first_pass = [e for e in events if e.goal == "first_pass"][-1]
+            run = simulate_conditions([participant], "rewarded1", 192, catalog, RewardModel())
+            last_first_pass = [e for e in run.events if e.goal == "first_pass"][-1]
             first_pass.append(last_first_pass.privacy_after)
-            final.append(privacy_score(selection))
+            final.append(privacy_score(run.selections[0]))
         assert abs(np.mean(final) - np.mean(first_pass)) < 0.06
 
     def test_rewarded_needs_full_first_pass(self, catalog):
         population = generate_population(1, master_seed=8)
         with pytest.raises(InvalidInputError):
-            simulate_condition(population.participants[0], "rewarded1", 10, catalog)
+            simulate_conditions(population.participants, "rewarded1", 10, catalog)
 
     def test_unknown_condition(self, catalog):
         population = generate_population(1, master_seed=8)
         with pytest.raises(InvalidInputError):
-            simulate_condition(population.participants[0], "entry", 64, catalog)
+            simulate_conditions(population.participants, "entry", 64, catalog)
 
     def test_simulation_reproducible(self, catalog):
         population = generate_population(6, master_seed=11)

@@ -7,6 +7,7 @@ from datacollective.errors import (
     InvalidInputError,
     MissingParameterError,
 )
+from datacollective.population import generate_population
 from datacollective.sharing import (
     ABSOLUTE_SACRIFICED_REWARDS,
     ABSOLUTE_SHARED_DATA,
@@ -26,8 +27,7 @@ from datacollective.sharing import (
     privacy_score,
     read_catalog,
     read_weight_profiles,
-    scenario_weights,
-    total_weight,
+    reward_table,
     write_catalog,
     write_weight_profiles,
 )
@@ -91,8 +91,10 @@ class TestEnumeration:
 
 
 class TestWeights:
+    # Every 4x4x4 profile's scenario weights total m/4 = 16, so the reward
+    # table at pool 16 holds the scenario weights themselves.
     def test_uniform_scenario_weight(self, catalog, uniform_profile):
-        weights = scenario_weights(uniform_profile, catalog)
+        weights = reward_table([uniform_profile], catalog, 16.0)[0]
         for j in range(8):
             assert weights[j] == pytest.approx(0.25)
 
@@ -106,7 +108,7 @@ class TestWeights:
                 np.full(4, 0.25),
             ),
         )
-        assert scenario_weights(profile, catalog)[0] == pytest.approx(1.0)
+        assert reward_table([profile], catalog, 16.0)[0, 0] == pytest.approx(1.0)
 
     def test_hand_computed_weight(self, catalog):
         profile = WeightProfile(
@@ -119,20 +121,24 @@ class TestWeights:
             ),
         )
         # 0.5*0.4 + 0.3*0.1 + 0.2*0.25
-        assert scenario_weights(profile, catalog)[0] == pytest.approx(0.28)
+        assert reward_table([profile], catalog, 16.0)[0, 0] == pytest.approx(0.28)
 
     def test_uniform_total_weight(self, catalog, uniform_profile):
-        assert total_weight(uniform_profile, catalog) == pytest.approx(16.0)
+        # total weight 16 over 64 scenarios: each gets 1/64 of any pool
+        rmax = reward_table([uniform_profile], catalog, 16.0)
+        assert rmax.sum() == pytest.approx(16.0)
+        assert rmax == pytest.approx(np.full((1, 64), 0.25))
 
     def test_single_scenario_total(self):
         cat = enumerate_scenarios([Criterion("c", ("a",))])
         profile = WeightProfile("p", np.array([1.0]), (np.array([1.0]),))
-        assert total_weight(profile, cat) == pytest.approx(scenario_weights(profile, cat)[0])
+        assert reward_table([profile], cat, 3.0).tolist() == [[3.0]]
 
     def test_dimension_mismatch(self, catalog, uniform_profile):
         small = enumerate_scenarios([Criterion("c", ("a", "b"))])
-        with pytest.raises(InvalidInputError):
-            scenario_weights(uniform_profile, small)
+        fits = WeightProfile.uniform(small, "fits")
+        with pytest.raises(InvalidInputError, match="participant 'uniform'"):
+            reward_table([fits, uniform_profile], small, 15.0)
 
     def test_invalid_profile_sums(self, catalog):
         with pytest.raises(InvalidInputError):
@@ -168,10 +174,34 @@ class TestRewards:
             assert abs(max_rewards(profile, catalog, pool).sum() - pool) < 1e-9
 
     def test_degenerate_profile_guard(self, catalog, uniform_profile):
-        broken = WeightProfile.uniform(catalog)
+        broken = WeightProfile.uniform(catalog, "broken")
         object.__setattr__(broken, "criterion_weights", np.zeros(3))
         with pytest.raises(DegenerateProfileError):
             max_rewards(broken, catalog, 15.0)
+        with pytest.raises(DegenerateProfileError, match="participant 'broken'"):
+            reward_table([uniform_profile, broken], catalog, 15.0)
+
+    @pytest.mark.parametrize("mode", ["linear", "geometric"])
+    def test_reward_table_rows_equal_per_profile(self, catalog, mode):
+        """The batched table is the per-profile allocation bit for bit, both
+        through ``max_rewards`` and through the scenario weights summed one
+        profile at a time."""
+        model = RewardModel(mode=mode)
+        profiles = [
+            p.profile
+            for p in generate_population(840, master_seed=3, catalog=catalog).participants
+        ]
+        table = model.reward_table(profiles, catalog)
+        assert table.shape == (840, 64) and table.flags.c_contiguous
+        idx = catalog.index_matrix()
+        for row, profile in zip(table, profiles):
+            assert np.array_equal(row, model.max_rewards(profile, catalog))
+            weights = np.sum(
+                [profile.criterion_weights[u] * profile.element_weights[u][idx[:, u]]
+                 for u in range(catalog.k)],
+                axis=0,
+            )
+            assert np.array_equal(row, weights / weights.sum() * model.pool)
 
     def test_linear_examples(self):
         assert linear_rewards(2.0, 1, 5) == pytest.approx(2.0)
