@@ -236,6 +236,11 @@ def cmd_evaluate(args) -> None:
     }
     # The .plans files carry no labels; the pipeline writes plans in CONDITIONS order.
     portfolios = read_portfolio_dir(args.plans_dir, labels=list(CONDITIONS))
+    if portfolios[0].plan_length != catalog.m:
+        raise InvalidInputError(
+            f"--plans-dir {args.plans_dir}: plans of length {portfolios[0].plan_length}, "
+            f"but the catalog has {catalog.m} scenarios"
+        )
     agents, selected = {p.agent_id for p in portfolios}, set(simulations)
     if agents != selected:
         raise InvalidInputError(

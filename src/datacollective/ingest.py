@@ -3,10 +3,12 @@
 External archives rarely match our column names, so ingestion is driven by a
 mapping config: which source column holds the participant id, condition,
 scenario id, selection and (optionally) timestamp, plus how condition values
-translate to the canonical labels. Rows that fail validation are reported
-with their line numbers and counted, never silently dropped; duplicate
-(participant, condition, scenario) rows resolve to the latest timestamp, so
-every row counts once as accepted (a new key), duplicate or rejected.
+translate to the canonical labels. One pass over the rows files each
+accepted row into answers grouped by condition, participant and scenario id.
+Rows that fail validation are reported with their line numbers and counted,
+never silently dropped; duplicate (participant, condition, scenario) rows
+resolve to the latest timestamp, so every row counts once as accepted (a new
+key), duplicate or rejected.
 Participants left out for an incomplete set of scenarios are recorded per
 condition in the report as well.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -34,15 +38,6 @@ DEFAULT_MAPPING = {
     "timestamp": "timestamp",
     "condition_values": {},
 }
-
-
-@dataclass(frozen=True)
-class ResponseRow:
-    participant_id: str
-    condition: str
-    scenario_id: int
-    selection: int
-    timestamp: float = 0.0
 
 
 @dataclass
@@ -89,35 +84,30 @@ class IngestReport:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Canonical view of an ingested archive."""
+    """Canonical view of an ingested archive: the accepted answers grouped
+    as condition -> participant id -> scenario id -> selection."""
 
-    responses: tuple[ResponseRow, ...]
+    answers: dict[str, dict[str, dict[int, int]]]
     profiles: dict[str, WeightProfile]
     provenance: str = ""
 
     def conditions(self) -> set[str]:
-        return {r.condition for r in self.responses}
-
-    def participants(self) -> set[str]:
-        return {r.participant_id for r in self.responses}
+        return set(self.answers)
 
     def selection_vectors(
         self, condition: str, m: int, z: int = 5, report: IngestReport | None = None
     ) -> dict[str, SelectionVector]:
-        """Per-participant vectors for one condition; participants with an
-        incomplete set of scenarios are skipped, and recorded as
-        ``incomplete`` in ``report`` if one is given. A scenario id outside
-        1..m raises, since the archive and the catalog then disagree."""
-        per_participant: dict[str, dict[int, int]] = {}
-        for row in self.responses:
-            if row.condition != condition:
-                continue
-            per_participant.setdefault(row.participant_id, {})[row.scenario_id] = row.selection
+        """Per-participant vectors for one condition, in sorted id order;
+        participants with an incomplete set of scenarios are skipped, and
+        recorded as ``incomplete`` in ``report`` if one is given. A scenario
+        id above m raises, since the archive and the catalog then disagree."""
+        by_participant = self.answers.get(condition, {})
         vectors, incomplete = {}, []
-        for pid in sorted(per_participant):
-            answers = per_participant[pid]
-            outside = sorted(j for j in answers if not 1 <= j <= m)
-            if outside:
+        for pid in sorted(by_participant):
+            answers = by_participant[pid]
+            # ids below 1 never get past ingest
+            if max(answers) > m:
+                outside = sorted(j for j in answers if j > m)
                 raise InvalidInputError(
                     f"{self.provenance or 'dataset'}: participant '{pid}' answers "
                     f"scenario ids {outside} outside 1..{m} in condition '{condition}'"
@@ -187,48 +177,97 @@ def ingest(
     z: int = 5,
     provenance: str = "",
 ) -> tuple[DatasetBundle, IngestReport]:
-    """Read an archive into the canonical bundle, validating every row."""
+    """Read an archive into the canonical bundle, validating every row.
+
+    Each accepted row is filed straight into the bundle's grouped answers;
+    the scenario ids a row may name run up to ``catalog.m`` when a catalog
+    is given, and are checked against m later otherwise."""
     mapping = {**DEFAULT_MAPPING, **(mapping or {})}
     condition_values = mapping.get("condition_values") or {}
     report = IngestReport()
-    m_limit = catalog.m if catalog is not None else None
+    row_errors = report.row_errors
+    m_limit = catalog.m if catalog is not None else math.inf
 
-    rows: dict[tuple[str, str, int], ResponseRow] = {}
+    answers: dict[str, dict[str, dict[int, int]]] = {}
+    # the timestamp of each kept answer, by (condition, participant id)
+    stamps: dict[tuple[str, str], dict[int, float]] = {}
+    total = accepted = duplicates = 0
     with open_text(responses_path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{responses_path}: empty file, header required")
-        positions = {}
-        for key in REQUIRED_COLUMNS:
-            column = mapping[key]
-            if column not in header:
-                raise IngestError(
-                    f"{responses_path}: required column '{column}' (for {key}) not found"
-                )
-            positions[key] = header.index(column)
-        ts_column = mapping.get("timestamp")
-        ts_pos = header.index(ts_column) if ts_column in header else None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{responses_path}: empty file, header required")
+            positions = []
+            for key in REQUIRED_COLUMNS:
+                column = mapping[key]
+                if column not in header:
+                    raise IngestError(
+                        f"{responses_path}: required column '{column}' (for {key}) not found"
+                    )
+                positions.append(header.index(column))
+            pid_pos, condition_pos, scenario_pos, selection_pos = positions
+            ts_column = mapping.get("timestamp")
+            # no timestamp column: every row reads as a blank timestamp
+            ts_pos = header.index(ts_column) if ts_column in header else sys.maxsize
 
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            report.total_rows += 1
-            try:
-                parsed = _parse_row(row, positions, ts_pos, condition_values, z, m_limit)
-            except ValueError as exc:
-                report.row_errors.append((lineno, str(exc)))
-                continue
-            key = (parsed.participant_id, parsed.condition, parsed.scenario_id)
-            if key in rows:
-                report.duplicates += 1
-                if parsed.timestamp >= rows[key].timestamp:
-                    rows[key] = parsed
-            else:
-                rows[key] = parsed
-                report.accepted += 1
+            # rows come grouped by participant and condition, so the answers
+            # of the previous row's pair are usually the ones to update
+            last_pid = last_condition = None
+            chosen: dict[int, int] = {}
+            times: dict[int, float] = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                total += 1
+                try:
+                    pid = row[pid_pos].strip()
+                    raw_condition = row[condition_pos].strip()
+                    scenario_id = int(row[scenario_pos])
+                    selection = int(row[selection_pos])
+                except (IndexError, ValueError) as exc:
+                    row_errors.append((lineno, f"unparseable row: {exc}"))
+                    continue
+                if not pid:
+                    row_errors.append((lineno, "empty participant id"))
+                    continue
+                if not 1 <= scenario_id <= m_limit:
+                    row_errors.append((lineno, f"scenario id {scenario_id} out of range"))
+                    continue
+                if not 1 <= selection <= z:
+                    row_errors.append((lineno, f"selection {selection} outside 1..{z}"))
+                    continue
+                timestamp = 0.0
+                if ts_pos < len(row):
+                    raw = row[ts_pos]
+                    try:
+                        timestamp = float(raw)
+                    except ValueError:
+                        if raw.strip():
+                            row_errors.append((lineno, f"unparseable timestamp '{raw}'"))
+                            continue
+                if pid != last_pid or raw_condition != last_condition:
+                    last_pid, last_condition = pid, raw_condition
+                    condition = condition_values.get(raw_condition, raw_condition)
+                    chosen = answers.setdefault(condition, {}).setdefault(pid, {})
+                    times = stamps.setdefault((condition, pid), {})
+                if scenario_id in chosen:
+                    # latest timestamp wins; a tie goes to the later row
+                    duplicates += 1
+                    if timestamp >= times[scenario_id]:
+                        chosen[scenario_id] = selection
+                        times[scenario_id] = timestamp
+                else:
+                    chosen[scenario_id] = selection
+                    times[scenario_id] = timestamp
+                    accepted += 1
+        except csv.Error as exc:
+            raise IngestError(
+                f"{responses_path}:{reader.line_num}: malformed CSV ({exc})"
+            ) from None
+    report.total_rows, report.accepted, report.duplicates = total, accepted, duplicates
 
-    if report.total_rows == 0:
+    if total == 0:
         report.warnings.append(f"{responses_path}: no data rows")
 
     profiles: dict[str, WeightProfile] = {}
@@ -239,39 +278,7 @@ def ingest(
             p.participant_id: p for p in read_weight_profiles(profiles_path, catalog)
         }
 
-    ordered = tuple(rows[key] for key in sorted(rows))
-    return DatasetBundle(responses=ordered, profiles=profiles, provenance=provenance), report
-
-
-def _parse_row(
-    row: Sequence[str],
-    positions: Mapping[str, int],
-    ts_pos: int | None,
-    condition_values: Mapping[str, str],
-    z: int,
-    m_limit: int | None,
-) -> ResponseRow:
-    try:
-        pid = row[positions["participant_id"]].strip()
-        raw_condition = row[positions["condition"]].strip()
-        scenario_id = int(row[positions["scenario_id"]])
-        selection = int(row[positions["selection"]])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"unparseable row: {exc}")
-    if not pid:
-        raise ValueError("empty participant id")
-    condition = condition_values.get(raw_condition, raw_condition)
-    if scenario_id < 1 or (m_limit is not None and scenario_id > m_limit):
-        raise ValueError(f"scenario id {scenario_id} out of range")
-    if not 1 <= selection <= z:
-        raise ValueError(f"selection {selection} outside 1..{z}")
-    timestamp = 0.0
-    if ts_pos is not None and ts_pos < len(row) and row[ts_pos].strip():
-        try:
-            timestamp = float(row[ts_pos])
-        except ValueError:
-            raise ValueError(f"unparseable timestamp '{row[ts_pos]}'")
-    return ResponseRow(pid, condition, scenario_id, selection, timestamp)
+    return DatasetBundle(answers=answers, profiles=profiles, provenance=provenance), report
 
 
 def export_responses(

@@ -175,6 +175,9 @@ class WeightProfile:
         object.__setattr__(self, "element_weights", ews)
         if cw.ndim != 1 or len(ews) != cw.shape[0]:
             raise InvalidInputError("criterion/element weight shapes disagree")
+        # NaN fails no range or sum comparison below, so reject it here
+        if not (np.isfinite(cw).all() and all(np.isfinite(ew).all() for ew in ews)):
+            raise InvalidInputError("criterion and element weights must be finite")
         if np.any(cw < -WEIGHT_TOL) or np.any(cw > 1 + WEIGHT_TOL):
             raise InvalidInputError("criterion weights must lie in [0, 1]")
         if abs(cw.sum() - 1.0) > WEIGHT_TOL:
@@ -550,7 +553,8 @@ def read_weight_profiles(path: str | Path, catalog: ScenarioCatalog) -> list[Wei
             for q in catalog.sizes:
                 elems.append(np.array(values[offset : offset + q]))
                 offset += q
-            profiles.append(
-                WeightProfile(row[0], crit, tuple(elems))
-            )
+            try:
+                profiles.append(WeightProfile(row[0], crit, tuple(elems)))
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
     return profiles

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from datacollective.cli import main
@@ -418,3 +419,94 @@ def test_plans_of_different_lengths(small_run, small_coordination, tmp_path, cap
         ),
         capsys, fragment,
     )
+
+
+def test_profiles_with_a_weight_that_is_not_finite(
+    small_run, small_coordination, tmp_path, capsys
+):
+    profiles = tmp_path / "profiles.csv"
+    lines = (small_run / "profiles.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = "nan"  # w:sensor of the third participant
+    profiles.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+    argv = _evaluate_small(
+        small_run, small_coordination, tmp_path, small_run / "selections.csv",
+        small_run / "portfolios",
+    )
+    argv[argv.index("--profiles") + 1] = str(profiles)
+    _assert_one_error(argv, capsys, f"{profiles}:4:", "finite")
+    assert not (tmp_path / "eval" / "evaluation.json").exists()
+
+
+def test_plans_shorter_than_the_catalog(small_run, small_coordination, tmp_path, capsys):
+    plans = tmp_path / "plans"
+    shutil.copytree(small_run / "portfolios", plans)
+    for path in plans.glob("*.plans"):
+        path.write_text("".join(
+            line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()
+        ))
+    _assert_one_error(
+        _evaluate_small(
+            small_run, small_coordination, tmp_path, small_run / "selections.csv", plans
+        ),
+        capsys, f"--plans-dir {plans}: plans of length 63", "the catalog has 64 scenarios",
+    )
+
+
+def _fuzzed_selections(text, rng, cases):
+    """Seeded variants of a selections CSV: cut at a random byte, three
+    random bytes flipped, one column dropped from every line, and one column
+    dropped from about one data row in 200."""
+    data = text.encode()
+    lines = text.splitlines()
+
+    def drop(column, keep_row):
+        kept = [
+            line if keep_row(i) else ",".join(
+                f for c, f in enumerate(line.split(",")) if c != column
+            )
+            for i, line in enumerate(lines)
+        ]
+        return ("\n".join(kept) + "\n").encode()
+
+    for case in range(cases):
+        yield f"truncate{case}", data[: int(rng.integers(1, len(data)))]
+        flipped = bytearray(data)
+        for pos in rng.integers(0, len(data), size=3):
+            flipped[pos] ^= int(rng.integers(1, 256))
+        yield f"flip{case}", bytes(flipped)
+        column = case % 5
+        yield f"drop_column{case}", drop(column, lambda i: False)
+        keep = rng.random(len(lines)) > 0.005
+        keep[0] = True  # the header
+        yield f"drop_in_rows{case}", drop(column, lambda i: keep[i])
+    # a field longer than the csv module's field size limit
+    yield "oversized_field", data + b"p9," + b"x" * 200_000 + b",1,3,0\n"
+
+
+def test_fuzzed_selections(small_run, small_coordination, tmp_path, capsys):
+    """``goals`` and ``evaluate`` on damaged selections files either stop
+    with one ``error:`` line naming the file, or count every row once in
+    the ingest report; nothing else escapes ``cli.main``."""
+    rng = np.random.default_rng(20261018)
+    text = (small_run / "selections.csv").read_text()
+    selections = tmp_path / "selections.csv"
+    for name, data in _fuzzed_selections(text, rng, cases=8):
+        selections.write_bytes(data)
+        out = tmp_path / name
+        goals = ["goals", "--selections", str(selections), "--out", str(out / "goals")]
+        evaluate = _evaluate_small(
+            small_run, small_coordination, out, selections, small_run / "portfolios"
+        )
+        for argv, written in ((goals, out / "goals"), (evaluate, out / "eval")):
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code == 1:
+                assert err.count("error:") == 1 and err.count("\n") == 1, (name, err)
+                assert str(selections) in err, (name, err)
+                continue
+            assert code == 0, (name, err)
+            report = json.loads((written / "ingest_report.json").read_text())
+            assert report["total_rows"] == (
+                report["accepted"] + report["duplicates"] + report["rejected"]
+            ), name

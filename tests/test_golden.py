@@ -201,6 +201,28 @@ GEOMETRIC = {
 }
 
 
+# The pipeline run through ingest on the plain run's own selections and
+# profiles: it writes no event logs, groups, profiles or selections, and
+# adds the ingest and comparison reports. The profiles it reads keep 12
+# significant digits, so evaluation.json differs from the plain run's in the
+# last digits of costs_chf and cost_sigma_chf.
+INGESTED = {
+    **{
+        name: digest for name, digest in PLAIN.items()
+        if not name.startswith("events_")
+        and name not in ("groups.json", "profiles.csv", "selections.csv")
+    },
+    "comparison_report.json":
+        "be9a2dac008a900705cfa1376324bad6564d34a16caee6845607d623f041e7b2",
+    "evaluation.json":
+        "58070cbb0e991c33f6e71064b859fd4a0509d48ddb2611590461e94b486aee3c",
+    "ingest_report.json":
+        "486f06bf25e6eb0a7e4887ba364dd13bde7dc7272757807727e09021f0caf9f7",
+    "manifest.json":
+        "e617de4560e9e055bca66c22c9924bacd5f39b8d4d197889cced3f2fc59129c9",
+}
+
+
 @pytest.mark.parametrize(
     "overrides, expected",
     [
@@ -213,6 +235,19 @@ GEOMETRIC = {
 def test_artifact_hashes(tmp_path, overrides, expected):
     config = ExperimentConfig(**GOLDEN, output_dir=str(tmp_path), **overrides)
     assert _hashes(run_pipeline(config)) == expected
+
+
+def test_ingested_artifact_hashes(tmp_path, monkeypatch):
+    """The pipeline on the plain run's own selections.csv and profiles.csv,
+    through ingest. The paths are relative, so the manifest and the
+    comparison report, which record them, hash the same in any directory."""
+    monkeypatch.chdir(tmp_path)
+    run_pipeline(ExperimentConfig(**GOLDEN, output_dir="plain"))
+    config = ExperimentConfig(
+        **GOLDEN, output_dir="ingested",
+        responses_path="plain/selections.csv", profiles_path="plain/profiles.csv",
+    )
+    assert _hashes(run_pipeline(config)) == INGESTED
 
 
 def test_no_stage_allocates_rewards_per_participant(tmp_path, monkeypatch):

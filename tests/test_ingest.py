@@ -6,7 +6,7 @@ import pytest
 from datacollective.errors import IngestError
 from datacollective.ingest import export_responses, ingest, load_mapping
 from datacollective.population import generate_population, simulate_population
-from datacollective.sharing import default_catalog
+from datacollective.sharing import Criterion, default_catalog, enumerate_scenarios
 
 
 def write_rows(path, header, rows):
@@ -22,8 +22,8 @@ class TestIngest:
         path = tmp_path / "responses.csv"
         write_rows(path, CANONICAL, [])
         bundle, report = ingest(path)
-        assert len(bundle.responses) == 0
-        assert report.total_rows == 0
+        assert bundle.conditions() == set()
+        assert report.total_rows == report.accepted == 0
         assert report.warnings
 
     def test_duplicate_keeps_latest_timestamp(self, tmp_path):
@@ -38,9 +38,9 @@ class TestIngest:
             ],
         )
         bundle, report = ingest(path)
-        assert report.duplicates == 2
-        assert len(bundle.responses) == 1
-        assert bundle.responses[0].selection == 4
+        assert (report.accepted, report.duplicates) == (1, 2)
+        vectors = bundle.selection_vectors("intrinsic", 1)
+        assert vectors["p1"].selections.tolist() == [4]
 
     def test_duplicate_is_not_also_accepted(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -57,7 +57,9 @@ class TestIngest:
         bundle, report = ingest(path)
         assert (report.accepted, report.duplicates, report.rejected) == (2, 1, 1)
         assert report.total_rows == report.accepted + report.duplicates + report.rejected
-        assert len(bundle.responses) == report.accepted
+        # the two accepted keys hold the latest answers of scenarios 1 and 2
+        vectors = bundle.selection_vectors("intrinsic", 2)
+        assert vectors["p1"].selections.tolist() == [4, 3]
 
     def test_row_errors_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -157,3 +159,102 @@ class TestRoundTrip:
                 assert np.array_equal(
                     sv.selections, simulations[pid][condition].selections
                 )
+
+
+# One row for each rejection message, plus the rows the parser must accept:
+# blank timestamps, a quoted id with a comma and spaces, padded fields,
+# extra and missing trailing columns, mapped and unmapped condition values
+# and duplicates resolved by timestamp (a tie goes to the later row). The
+# columns are mapped and out of the canonical order.
+CONTRACT_CSV = (
+    "ts,answer,q,phase,user,note\n"
+    "1,2,1,entry,p1,\n"
+    "1,3,2,entry,p1,\n"
+    "1,4,3,entry,p1,\n"
+    "1,5,4,entry,p1,\n"
+    "1,2,3\n"                          # ragged: no phase or user column
+    "1,2,1,entry,  ,\n"                # empty id
+    "1,2,x,entry,p2,\n"                # non-integer scenario id
+    "1,2,5,entry,p2,\n"                # scenario id above catalog.m
+    "1,2,0,entry,p2,\n"                # scenario id below 1
+    "1,6,1,entry,p2,\n"                # selection outside 1..z
+    "soon,2,1,entry,p2,\n"             # bad timestamp
+    "\n"                               # blank line: skipped, not counted
+    ",1,1,entry,p2,\n"                 # blank timestamp reads as 0
+    "0,2,1,entry,p2,\n"                # tie with the blank one: the later row wins
+    "2, 3 ,2, entry ,p2,extra,columns\n"
+    "2,4,3,entry,p2,\n"
+    "2,5,4,entry,p2,\n"
+    '9,1,1,day1,"Doe, Jane ",\n'       # quoted id with a comma and spaces
+    '9,2,2,day1,"Doe, Jane ",\n'
+    '9,3,3,day1,"Doe, Jane ",\n'
+    '9,4,4,day1,"Doe, Jane ",\n'
+    "7,1,2,day1,p3,\n"                 # three-way duplicate, tied timestamps
+    "7,2,2,day1,p3,\n"
+    "7,3,2,day1,p3,\n"
+    "7,1,1,day1,p3,\n"
+    "7,1,3,day1,p3,\n"
+    "7,1,4,day1,p3,\n"
+    "5,5,1,day1,p1,\n"                 # a later timestamp replaces an earlier one
+    "3,4,1,day1,p1,\n"                 # an earlier timestamp loses
+    "4,1,2,day1,p1,\n"                 # p1 stays incomplete in rewarded1
+    "1,3,1,later,p4,\n"                # an unmapped condition value is kept as is
+    " ,3,2,later,p4,\n"                # a timestamp of spaces is blank too
+    "1,3,3,later,p4,\n"
+    "1,3,4,later,p4\n"                 # short row without the note column
+)
+
+CONTRACT_MAPPING = {
+    "participant_id": "user",
+    "condition": "phase",
+    "scenario_id": "q",
+    "selection": "answer",
+    "timestamp": "ts",
+    "condition_values": {"entry": "intrinsic", "day1": "rewarded1"},
+}
+
+CONTRACT_REPORT = {
+    "total_rows": 33,
+    "accepted": 22,
+    "duplicates": 4,
+    "rejected": 7,
+    "row_errors": [
+        [6, "unparseable row: list index out of range"],
+        [7, "empty participant id"],
+        [8, "unparseable row: invalid literal for int() with base 10: 'x'"],
+        [9, "scenario id 5 out of range"],
+        [10, "scenario id 0 out of range"],
+        [11, "selection 6 outside 1..5"],
+        [12, "unparseable timestamp 'soon'"],
+    ],
+    "warnings": [],
+    "dropped": {"rewarded1": {"incomplete": {"count": 1, "first_ids": ["p1"]}}},
+}
+
+# Sorted ids per condition; a participant first seen in a later condition
+# is appended.
+CONTRACT_SELECTIONS = [
+    ("p1", {"intrinsic": [2, 3, 4, 5]}),
+    ("p2", {"intrinsic": [2, 3, 4, 5]}),
+    ("p4", {"later": [3, 3, 3, 3]}),
+    ("Doe, Jane", {"rewarded1": [1, 2, 3, 4]}),
+    ("p3", {"rewarded1": [1, 3, 1, 1]}),
+]
+
+
+def test_row_level_contract(tmp_path):
+    """Every accepted and rejected row of a mapped archive: the whole
+    ingest report and every selection vector, in order."""
+    catalog = enumerate_scenarios([Criterion("a", ("x", "y")), Criterion("b", ("u", "v"))])
+    path = tmp_path / "responses.csv"
+    path.write_text(CONTRACT_CSV)
+    bundle, report = ingest(path, mapping=CONTRACT_MAPPING, catalog=catalog)
+    conditions = sorted(bundle.conditions())
+    assert conditions == ["intrinsic", "later", "rewarded1"]
+    selections = bundle.selections_by_participant(conditions, catalog.m, 5, report)
+    report.write_json(tmp_path / "ingest_report.json")
+    assert json.loads((tmp_path / "ingest_report.json").read_text()) == CONTRACT_REPORT
+    assert [
+        (pid, {c: sv.selections.tolist() for c, sv in by_condition.items()})
+        for pid, by_condition in selections.items()
+    ] == CONTRACT_SELECTIONS
