@@ -215,6 +215,10 @@ def cmd_goals(args) -> None:
 def cmd_coordinate(args) -> None:
     portfolios = read_portfolio_dir(args.plans_dir)
     goal = read_goal_signal(args.goal_file, level=args.goal_level)
+    m = portfolios[0].plan_length
+    if goal.values.size != m:
+        raise InvalidInputError(f"--goal-file {args.goal_file} has {goal.values.size} values, "
+                                f"but --plans-dir {args.plans_dir} has plans of length {m}")
     out = _outdir(args)
     runs = coordinate_stage(
         portfolios, goal, CostWeights(args.alpha, args.beta), out,

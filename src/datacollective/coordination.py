@@ -27,6 +27,11 @@ operations as visiting the positions one by one. All repetitions share the
 level structure (only the agent placement differs), so one kernel scores
 every candidate of a depth, across all repetitions, as a single
 (repetitions, positions, plans, scenarios) array.
+
+An iteration reads only the resolved aggregates, their cost statistics and
+the last realized cost, so once one leaves these and the selections unchanged,
+bit for bit, every later one repeats it: the repetition stops, and its final
+state fills the remaining rows.
 """
 
 from __future__ import annotations
@@ -111,20 +116,13 @@ class TreeTopology:
     def n(self) -> int:
         return int(self.order.size)
 
-    def children(self, position: int) -> list[int]:
-        c = self.children_per_node
-        first = c * position + 1
-        return [p for p in range(first, min(first + c, self.n))]
-
-    def parent(self, position: int) -> int:
-        return -1 if position == 0 else (position - 1) // self.children_per_node
-
-    def depth(self, position: int) -> int:
-        d = 0
-        while position > 0:
-            position = self.parent(position)
-            d += 1
-        return d
+    def levels(self) -> list[tuple[int, int]]:
+        """The position range [s, e) of each depth, root first."""
+        levels = [(0, 1)]
+        while levels[-1][1] < self.n:
+            s = levels[-1][1]
+            levels.append((s, min(self.children_per_node * s + 1, self.n)))
+        return levels
 
 
 def build_tree(n: int, children_per_node: int = 2, seed: int = 0) -> TreeTopology:
@@ -200,15 +198,12 @@ def coordinate(
     repetitions: int = 10,
     seed: int = 0,
     children_per_node: int = 2,
-    early_stop_after: int | None = None,
 ) -> list[CoordinationRun]:
     """Run the tree optimizer for several random agent placements.
 
     Each repetition draws a fresh permutation from the master seed and runs
-    the given number of iterations. ``early_stop_after`` optionally stops a
-    repetition once the cost trace has been flat for that many consecutive
-    iterations (off by default; the trace is then padded to full length so
-    shapes stay regular).
+    the given number of iterations; one that reaches a fixed point repeats
+    it to full length.
     """
     portfolios = list(portfolios)
     if not portfolios:
@@ -224,9 +219,7 @@ def coordinate(
     rep_seeds = [int(s.generate_state(1, np.uint32)[0])
                  for s in np.random.SeedSequence(seed).spawn(repetitions)]
     topologies = [build_tree(len(portfolios), children_per_node, s) for s in rep_seeds]
-    selections, responses, traces = _optimize(
-        portfolios, goal, weights, iterations, topologies, early_stop_after
-    )
+    selections, responses, traces = _optimize(portfolios, goal, weights, iterations, topologies)
     return [
         CoordinationRun(
             repetition=rep,
@@ -247,7 +240,6 @@ def _optimize(
     weights: CostWeights,
     iterations: int,
     topologies: list[TreeTopology],
-    early_stop_after: int | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All repetitions at once: (R, iterations, n) selections in portfolio
     order, (R, iterations, m) global responses and (R, iterations) costs."""
@@ -267,11 +259,7 @@ def _optimize(
         values[a, :k] = [p.values for p in portfolio.plans]
         plan_stats[a, :k, 1:] = [[p.local_cost, p.local_cost**2] for p in portfolio.plans]
         padded[a, :k] = False
-    levels = []  # depth d covers positions [s, c*s + 1)
-    s = 0
-    while s < n:
-        levels.append((s, min(c * s + 1, n)))
-        s = levels[-1][1]
+    levels = topologies[0].levels()
     parent = (np.arange(n) - 1) // c
 
     sel = np.zeros((R, n), dtype=np.intp)  # by tree position
@@ -286,7 +274,6 @@ def _optimize(
     responses = np.zeros((R, iterations, m))
     trace = np.zeros((R, iterations))
     stop = np.full(R, iterations)  # iteration a repetition stopped at
-    flat_streak = np.zeros(R, dtype=np.intp)
 
     for it in range(iterations):
         # Bottom-up, deepest depth first. Position p's children are
@@ -330,6 +317,10 @@ def _optimize(
         # it and every ancestor accepted.
         for s, e in levels[1:]:
             keep[:, s:e] &= keep[:, parent[s:e]]
+        # The kept positions' new state against the old, per repetition.
+        moved = (keep & (cand != sel)).any(1) | (keep[:, 0] & (best_cost[:, 0] != cost_prev))
+        moved |= (keep[..., None] & (agg_new != agg)).any((1, 2))
+        moved |= (keep[..., None] & (stats_new != stats)).any((1, 2))
         np.copyto(sel, cand, where=keep)
         np.copyto(agg, agg_new, where=keep[..., None])
         np.copyto(stats, stats_new, where=keep[..., None])
@@ -341,12 +332,10 @@ def _optimize(
         responses[:, it] = agg[:, 0]
         trace[:, it] = cost_prev
 
-        if early_stop_after is not None and it > 0:
-            flat = trace[:, it] == trace[:, it - 1]
-            flat_streak = np.where(flat, flat_streak + 1, 0)
-            stop[(stop == iterations) & (flat_streak >= early_stop_after)] = it
-            if np.all(stop < iterations):
-                break
+        # A fixed point (see the module docstring): later iterations repeat it.
+        stop[(stop == iterations) & ~moved] = it
+        if np.all(stop < iterations):
+            break
 
     # A stopped repetition repeats its final state to full length; selections
     # are reported in portfolio order rather than tree order.

@@ -166,6 +166,13 @@ def load_mapping(path: str | Path | None) -> dict:
     mapping = dict(DEFAULT_MAPPING)
     if path is not None:
         mapping.update(read_json_object(path))
+        for key, default in DEFAULT_MAPPING.items():  # a null timestamp means none
+            value, kind = mapping[key], type(default)
+            names = value.values() if isinstance(value, dict) else [value]
+            if not (isinstance(value, kind) and all(isinstance(v, str) for v in names)
+                    or (key, value) == ("timestamp", None)):
+                expected = "an object of strings" if kind is dict else "a string"
+                raise IngestError(f"{path}: '{key}' must be {expected}, found {json.dumps(value)}")
     return mapping
 
 

@@ -298,6 +298,33 @@ def test_mapping_that_is_not_a_json_object(tmp_path, capsys, text, fragment):
     ], capsys, f"{mapping}{fragment}")
 
 
+@pytest.mark.parametrize("entry, fragment", [
+    ({"condition_values": ["intrinsic"]},
+     """'condition_values' must be an object of strings, found ["intrinsic"]"""),
+    ({"condition_values": {"entry": 1}},
+     """'condition_values' must be an object of strings, found {"entry": 1}"""),
+    ({"scenario_id": 3}, "'scenario_id' must be a string, found 3"),
+    ({"participant_id": ["user"]}, """'participant_id' must be a string, found ["user"]"""),
+    ({"timestamp": {}}, "'timestamp' must be a string, found {}"),
+], ids=["condition-list", "condition-number", "column-number", "column-list", "timestamp"])
+def test_mapping_values_of_the_wrong_type(small_run, tmp_path, capsys, entry, fragment):
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(entry))
+    _assert_one_error([
+        "ingest", "--responses", str(small_run / "selections.csv"), "--mapping", str(mapping),
+        "--out", str(tmp_path / "ingested"),
+    ], capsys, f"{mapping}: {fragment}")
+
+
+def test_mapping_without_a_timestamp_column(small_run, tmp_path):
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text('{"timestamp": null}')
+    assert main([
+        "ingest", "--responses", str(small_run / "selections.csv"), "--mapping", str(mapping),
+        "--out", str(tmp_path / "ingested"),
+    ]) == 0
+
+
 @pytest.mark.parametrize("text, fragment", NOT_A_JSON_OBJECT, ids=["truncated", "list"])
 def test_population_spec_that_is_not_a_json_object(tmp_path, capsys, text, fragment):
     spec = tmp_path / "population.json"
@@ -398,6 +425,21 @@ def test_evaluate_names_participants_without_selections(
         f"{plans} and {selections} cover different participants",
         f"only in {plans}: ['p0001']", f"only in {selections}: []",
     )
+
+
+def test_plans_shorter_than_the_goal_file(small_run, small_coordination, tmp_path, capsys):
+    plans = tmp_path / "plans"
+    shutil.copytree(small_run / "portfolios", plans)
+    for path in plans.glob("*.plans"):
+        path.write_text("".join(
+            line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()
+        ))
+    goal = small_coordination / "goal_very_high.csv"
+    _assert_one_error([
+        "coordinate", "--plans-dir", str(plans), "--goal-file", str(goal),
+        "--out", str(tmp_path / "coord"),
+    ], capsys, f"--goal-file {goal} has 64 values, but --plans-dir {plans} has plans of length 63")
+    assert not (tmp_path / "coord").exists()
 
 
 def test_plans_of_different_lengths(small_run, small_coordination, tmp_path, capsys):

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from datacollective import coordination
 from datacollective.coordination import (
     CostWeights,
     Plan,
     PlanPortfolio,
+    _cost,
     build_tree,
     coordinate,
     global_cost,
@@ -53,6 +55,85 @@ PINNED_RUNS = {
     (40, 1, 0): "95f298475ebeb3c4c852e5c8048f5ee4807e811115df4065ee60820018b4b70e",
 }
 
+# The same digest for longer runs (60 iterations x 4 repetitions) on binary and
+# ternary trees, keyed by (n, children_per_node, alpha, beta). Recorded from
+# the optimizer that ran every iteration, so the fixed-point exit, which skips
+# iterations that cannot change anything, must reproduce them bit for bit.
+PINNED_LONG_RUNS = {
+    (37, 2, 0, 0): "e6233afd305f65816de78cc2b94f83e771248f46be131b72277b3299fce2d9d8",
+    (37, 2, 0.3, 0.2): "935385492bf84da4a4f157cf5282e79ecfbded6d487b65bfb8c376c4a9091377",
+    (37, 3, 0, 0): "b65938b7b9ac7129cda9d66e4e08478fd7fcc17b004c2c471c0c4fcfd7b47f63",
+    (37, 3, 0.3, 0.2): "d18635af11dfdc26405cd94fe108558f8d37ab9ffea6aaac10d16cb352968f9d",
+    (200, 2, 0, 0): "e7d0de534f574976b9552e5a2c3934885704512581aeba3b229bc7d2cd8b73a1",
+    (200, 2, 0.3, 0.2): "361b3291b9529fc1eac284a0a849bcb377e18302ecca448689f62e2ee8039c32",
+    (200, 3, 0, 0): "8d2bcffd0c48dd40707bcbc5c6702c816b5d6baf9750cca54d06f586c7256991",
+    (200, 3, 0.3, 0.2): "7755334a644761d459206c4f13e150acb77ceb2f9212b4226fbf868a83b2333e",
+}
+
+
+def _runs_digest(runs):
+    payload = json.dumps([run_to_dict(run) for run in runs], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_LONG_RUNS), ids=str)
+def test_long_runs_match_pinned(key):
+    n, children, alpha, beta = key
+    rng = np.random.default_rng(n)
+    portfolios = ragged_portfolios(rng, n)
+    goal = random_goal(rng)
+    runs = coordinate(
+        portfolios, goal, CostWeights(alpha, beta),
+        iterations=60, repetitions=4, seed=n, children_per_node=children,
+    )
+    assert _runs_digest(runs) == PINNED_LONG_RUNS[key]
+
+
+def test_fixed_point_exit_stops_computing(monkeypatch):
+    rng = np.random.default_rng(2)
+    portfolios = ragged_portfolios(rng, 40)
+    goal = random_goal(rng)
+    calls = []
+
+    def counted_cost(*args):
+        calls.append(1)
+        return _cost(*args)
+
+    monkeypatch.setattr(coordination, "_cost", counted_cost)
+    iterations, children = 40, 3
+    runs = coordinate(portfolios, goal, CostWeights(0.3, 0.2), iterations=iterations,
+                      repetitions=6, seed=2, children_per_node=children)
+    depths = len(build_tree(40, children).levels())
+    ran, rest = divmod(len(calls), depths)
+    assert rest == 0 and 2 <= ran < iterations
+    # The loop ends at the iteration where the last repetition left its state
+    # unchanged, so every row from the one before it on is that state.
+    for run in runs:
+        for rows in (run.selections, run.global_response, run.cost_trace):
+            assert rows.shape[0] == iterations
+            assert np.all(rows[ran - 2:] == rows[ran - 1])
+
+
+def test_flat_cost_does_not_stop_a_moving_repetition():
+    # Plan values on a quarter grid with alpha = 1 (variance only) make
+    # distinct configurations tie in cost, so a repetition can keep its cost
+    # for an iteration while its plans still move towards a lower cost.
+    rng = np.random.default_rng(67)
+    portfolios = []
+    for a in range(15):
+        values = rng.integers(0, 5, size=(int(rng.integers(1, 4)), 8)) / 4
+        plans = tuple(Plan(v, float(v.mean())) for v in values)
+        portfolios.append(PlanPortfolio(f"agent{a}", plans))
+    goal = GoalSignal(5, rng.random(8))
+    runs = coordinate(portfolios, goal, CostWeights(1, 0), iterations=20, repetitions=4,
+                      seed=67)
+    assert any(
+        run.cost_trace[it] == run.cost_trace[it - 1] > run.final_cost()
+        for run in runs for it in range(1, 20)
+    )
+    # Recorded from the optimizer that ran every iteration.
+    assert _runs_digest(runs) == "f260f6b4e0d0ef9b57e8c196ade10e2e82b7ed7957633aba23f6260a36688141"
+
 
 class TestPlans:
     def test_value_bounds_enforced(self):
@@ -92,21 +173,21 @@ class TestBuildTree:
     def test_single_agent(self):
         tree = build_tree(1, seed=0)
         assert tree.n == 1
-        assert tree.children(0) == []
-        assert tree.parent(0) == -1
+        assert tree.levels() == [(0, 1)]
 
     def test_perfect_binary_tree(self):
         tree = build_tree(7, children_per_node=2, seed=1)
-        depths = [tree.depth(p) for p in range(7)]
-        assert depths == [0, 1, 1, 2, 2, 2, 2]
+        assert tree.levels() == [(0, 1), (1, 3), (3, 7)]
 
     def test_balanced_for_any_n(self):
-        for n in (2, 5, 12, 33):
-            tree = build_tree(n, children_per_node=2, seed=2)
-            leaf_depths = [
-                tree.depth(p) for p in range(n) if not tree.children(p)
-            ]
-            assert max(leaf_depths) - min(leaf_depths) <= 1
+        for c in (2, 3):
+            for n in (2, 5, 12, 33):
+                levels = build_tree(n, children_per_node=c, seed=2).levels()
+                # Consecutive depths tile the positions; every depth but the
+                # last is full, so leaves sit on the last two depths.
+                assert [p for s, e in levels for p in range(s, e)] == list(range(n))
+                for d, ((s, e), (s_next, e_next)) in enumerate(zip(levels, levels[1:])):
+                    assert e - s == c**d and s_next == e and e_next - s_next <= c * (e - s)
 
     def test_permutation_covers_agents(self):
         tree = build_tree(10, seed=3)
@@ -253,18 +334,6 @@ class TestCoordinate:
                 assert run.final_cost() >= optimum - 1e-9
                 assert np.all(np.diff(run.cost_trace) <= 1e-12)
 
-    def test_early_stop_pads_trace(self):
-        rng = np.random.default_rng(12)
-        portfolios = random_portfolios(rng, n=1, plans_per_agent=2)
-        goal = random_goal(rng)
-        runs = coordinate(
-            portfolios, goal, CostWeights(0.0, 1.0),
-            iterations=30, repetitions=1, seed=0, early_stop_after=3,
-        )
-        trace = runs[0].cost_trace
-        assert trace.shape == (30,)
-        assert np.all(trace == trace[-1])
-
     @pytest.mark.parametrize("key", sorted(PINNED_RUNS), ids=str)
     def test_ragged_portfolios_match_pinned_runs(self, key):
         n, alpha, beta = key
@@ -275,31 +344,7 @@ class TestCoordinate:
             portfolios, goal, CostWeights(alpha, beta),
             iterations=12, repetitions=3, seed=n, children_per_node=3,
         )
-        payload = json.dumps([run_to_dict(run) for run in runs], sort_keys=True)
-        assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_RUNS[key]
-
-    def test_early_stop_is_per_repetition(self):
-        rng = np.random.default_rng(2)
-        portfolios = ragged_portfolios(rng, 40)
-        goal = random_goal(rng)
-        kwargs = dict(weights=CostWeights(0.3, 0.2), iterations=40, repetitions=6,
-                      seed=2, children_per_node=3)
-        full = coordinate(portfolios, goal, **kwargs)
-        stopped = coordinate(portfolios, goal, early_stop_after=2, **kwargs)
-        stops = []
-        for run_full, run in zip(full, stopped):
-            flat = np.diff(run_full.cost_trace) == 0
-            # First iteration that ends two consecutive flat steps.
-            stop = 1 + next(it for it in range(1, flat.size) if flat[it - 1] and flat[it])
-            stops.append(stop)
-            head = slice(0, stop + 1)
-            assert np.array_equal(run.selections[head], run_full.selections[head])
-            assert np.array_equal(run.global_response[head], run_full.global_response[head])
-            assert np.array_equal(run.cost_trace[head], run_full.cost_trace[head])
-            assert np.all(run.selections[stop:] == run.selections[stop])
-            assert np.all(run.global_response[stop:] == run.global_response[stop])
-            assert np.all(run.cost_trace[stop:] == run.cost_trace[stop])
-        assert len(set(stops)) >= 3
+        assert _runs_digest(runs) == PINNED_RUNS[key]
 
 
 class TestSelectionSummary:
