@@ -246,7 +246,7 @@ def read_response_csv(path: str | Path, m: int | None = None) -> np.ndarray:
 
 
 def write_response_csv(path: str | Path, response: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario_id", "value"])
         for j, v in enumerate(np.asarray(response, dtype=float), start=1):
@@ -256,7 +256,7 @@ def write_response_csv(path: str | Path, response: np.ndarray) -> None:
 def write_coefficients_csv(path: str | Path, fit_result: RegressionFit) -> None:
     """Coefficient per element label (references as 0) plus the intercept."""
     table = coefficient_table(fit_result)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["term", "coefficient"])
         for criterion, coeffs in zip(fit_result.design.catalog.criteria, table):
@@ -277,7 +277,7 @@ def write_partworths_json(path: str | Path, report: PartworthReport) -> None:
         "element_within": _element_payload(report, report.element_within),
         "element_across": _element_payload(report, report.element_across),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _element_payload(report: PartworthReport, utilities) -> dict[str, float | None]:

@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidWeightsError, read_json_object, read_text
 from .goals import GoalSignal, standardize
+from .textformat import float_table
 
 WEIGHT_TOL = 1e-12
 
@@ -386,11 +387,7 @@ def selection_summary(
 # "local_cost:v1,v2,...,vm".
 
 def write_portfolio(path: str | Path, portfolio: PlanPortfolio) -> None:
-    lines = []
-    for plan in portfolio.plans:
-        values = ",".join(format(v, ".12g") for v in plan.values)
-        lines.append(f"{format(plan.local_cost, '.12g')}:{values}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(next(_portfolio_texts([portfolio])), encoding="utf-8")
 
 
 def read_portfolio(
@@ -418,6 +415,13 @@ def read_portfolio(
             plans.append(Plan(values=values, local_cost=float(cost_part), label=label))
         except ValueError as exc:  # also InvalidInputError from Plan
             raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+        if values.size != plans[0].values.size:
+            raise InvalidInputError(
+                f"{path}:{lineno}: plan of length {values.size}, "
+                f"but the first plan has length {plans[0].values.size}"
+            )
+    if not plans:
+        raise InvalidInputError(f"{path}: agent '{agent_id}' has no plans")
     return PlanPortfolio(agent_id=agent_id, plans=tuple(plans))
 
 
@@ -426,8 +430,26 @@ def write_portfolio_dir(
 ) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for portfolio, text in zip(portfolios, _portfolio_texts(portfolios)):
+        (directory / f"{portfolio.agent_id}.plans").write_text(text, encoding="utf-8")
+
+
+def _portfolio_texts(portfolios: Sequence[PlanPortfolio]):
+    """Each portfolio's file text, one join per agent. Every distinct plan
+    value or cost among all the portfolios is formatted once, as ``%.12g``."""
+    plans = [plan for portfolio in portfolios for plan in portfolio.plans]
+    texts, inverse = float_table(
+        np.concatenate([[plan.local_cost for plan in plans], *(p.values for p in plans)])
+    )
+    costs = iter(texts[inverse[: len(plans)]].tolist())
+    start = len(plans)
     for portfolio in portfolios:
-        write_portfolio(directory / f"{portfolio.agent_id}.plans", portfolio)
+        lines = []
+        for plan in portfolio.plans:
+            stop = start + plan.values.size
+            lines += (next(costs), ":", ",".join(texts[inverse[start:stop]].tolist()), "\n")
+            start = stop
+        yield "".join(lines)
 
 
 def read_portfolio_dir(
@@ -464,7 +486,9 @@ def run_to_dict(run: CoordinationRun) -> dict:
 
 def write_runs_json(path: str | Path, runs: Sequence[CoordinationRun]) -> None:
     payload = {"runs": [run_to_dict(run) for run in runs]}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def read_run_choices(path: str | Path) -> list[list[int]]:
@@ -482,4 +506,4 @@ def write_cost_trace_csv(path: str | Path, runs: Sequence[CoordinationRun]) -> N
     for run in runs:
         for it, cost in enumerate(run.cost_trace, start=1):
             lines.append(f"{run.repetition},{it},{format(cost, '.12g')}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -105,7 +105,7 @@ def mismatch(aggregate: np.ndarray | Sequence[float], goal: GoalSignal | np.ndar
 
 
 def write_goal_signal(path: str | Path, signal: GoalSignal) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario_id", "value"])
         for j, v in enumerate(signal.values, start=1):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import IngestError, InvalidInputError, open_text, read_json_object
 from .sharing import ScenarioCatalog, SelectionVector, WeightProfile, read_weight_profiles
+from .textformat import csv_field
 
 REQUIRED_COLUMNS = ("participant_id", "condition", "scenario_id", "selection")
 
@@ -79,7 +80,9 @@ class IngestReport:
                 for condition, reasons in self.dropped.items()
             },
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 @dataclass(frozen=True)
@@ -292,13 +295,24 @@ def export_responses(
     path: str | Path,
     simulations: Mapping[str, Mapping[str, SelectionVector]],
 ) -> None:
-    """Write simulated selections in the canonical response schema, so a
-    round trip through ingest reproduces them exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["participant_id", "condition", "scenario_id", "selection", "timestamp"])
+    """Write simulated selections in the canonical response schema as UTF-8
+    CSV, byte for byte what ``csv.writer`` writes, so a round trip through
+    ingest reproduces them exactly. Each participant's rows in a condition
+    are one join of its quoted id and condition with ``,scenario,selection,0``
+    tails, formatted once per file for each vector size and level count."""
+    tails: dict[tuple[int, int], np.ndarray] = {}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("participant_id,condition,scenario_id,selection,timestamp\r\n")
         for pid in sorted(simulations):
+            field = csv_field(pid) + ","
             for condition in sorted(simulations[pid]):
                 sv = simulations[pid][condition]
-                for j, s in enumerate(sv.selections, start=1):
-                    writer.writerow([pid, condition, j, int(s), 0])
+                m, z = sv.m, sv.z
+                if (m, z) not in tails:
+                    tails[m, z] = np.array([
+                        f",{j},{s},0\r\n" for j in range(1, m + 1) for s in range(1, z + 1)
+                    ], dtype=object)
+                # every row starts with the same id and condition
+                lead = field + csv_field(condition)
+                rows = tails[m, z][np.arange(0, m * z, z) + sv.selections - 1]
+                fh.write(lead + lead.join(rows.tolist()))

@@ -374,7 +374,7 @@ def write_scenario_privacy_csv(
     path: str | Path, snapshots: Sequence[ConditionSnapshot]
 ) -> None:
     """Per-scenario privacy per condition (privacy-by-scenario figure)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario_id"] + [s.label for s in snapshots])
         columns = [scenario_privacy(s) for s in snapshots]
@@ -390,7 +390,7 @@ def write_mismatch_csv(
     goals: Sequence[GoalSignal],
 ) -> None:
     """Per-scenario mismatch per condition and goal (mismatch figure)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["goal_level", "condition", "scenario_id", "abs_error"])
         for goal in goals:
@@ -404,7 +404,7 @@ def write_mismatch_csv(
 
 def write_cost_csv(path: str | Path, reports: Sequence[CostReport]) -> None:
     """Cost per condition with the per-repetition scatter (cost figure)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["condition", "repetition", "cost_chf", "mean_chf", "sigma_chf"])
         for report in reports:

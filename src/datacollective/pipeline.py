@@ -125,7 +125,9 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(
+            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
     def experiment_dict(self) -> dict:
         """Config fields that define the experiment; where the artifacts land
@@ -273,7 +275,9 @@ def _collect_selections(config, catalog, reward_model, out: Path):
     groups = {
         p.participant_id: p.behavior.kind for p in population.participants
     }
-    (out / "groups.json").write_text(json.dumps(groups, indent=2, sort_keys=True) + "\n")
+    (out / "groups.json").write_text(
+        json.dumps(groups, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     profiles = {p.participant_id: p.profile for p in population.participants}
     return simulations, profiles
 
@@ -342,7 +346,8 @@ def coordinate_stage(
             indent=2,
             sort_keys=True,
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
     return runs
 
@@ -413,7 +418,7 @@ def metrics_stage(
         },
     }
     (out / "evaluation.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if provenance:
         # Comparison report for externally collected archives.
@@ -428,7 +433,8 @@ def metrics_stage(
                 indent=2,
                 sort_keys=True,
             )
-            + "\n"
+            + "\n",
+            encoding="utf-8",
         )
     return snapshots
 
@@ -466,5 +472,5 @@ def _write_manifest(config: ExperimentConfig, out: Path) -> None:
         "files": files,
     }
     (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

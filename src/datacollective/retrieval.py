@@ -17,8 +17,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, open_text
 from .sharing import RewardModel, SelectionVector, privacy_score
+from .textformat import csv_field, float_table
 
 IMPROVE_PRIVACY = "improve_privacy"
 IMPROVE_REWARDS = "improve_rewards"
@@ -171,65 +172,76 @@ class EventLog:
         return int(self.taken.sum())
 
     def __iter__(self) -> Iterator[Event]:
-        for participant_id, rows in self._rows():
-            for row in rows:
-                yield Event(participant_id, *row)
-
-    def _rows(self):
-        """Per participant, its id and its rows without the id, as plain
-        tuples built from the columns' ``tolist()``."""
         for i, participant_id in enumerate(self.participant_ids):
             k = int(self.taken[i])
-            yield participant_id, zip(
+            for row in zip(
                 range(1, k + 1),
                 map(EVENT_GOALS.__getitem__, self.goal[i, :k].tolist()),
                 self.scenario_id[i, :k].tolist(),
                 self.option[i, :k].tolist(),
                 self.rewards_after[i, :k].tolist(),
                 self.privacy_after[i, :k].tolist(),
-            )
+            ):
+                yield Event(participant_id, *row)
 
 
 def write_event_log(path: str | Path, events: EventLog) -> None:
-    """Write the log as CSV, byte for byte what ``csv.writer`` writes: CRLF
-    line ends, floats at 12 significant digits and ids quoted only when they
-    need it. Rows are formatted one participant at a time and streamed, so
-    the file is never held in memory as one string."""
-    with open(path, "w", newline="") as fh:
+    """Write the log as UTF-8 CSV, byte for byte what ``csv.writer`` writes:
+    CRLF line ends, floats at 12 significant digits and ids quoted only when
+    they need it. Each participant's rows are built with one join from
+    lookup tables: step numbers and the ``,goal,scenario,option,`` middles
+    are formatted once per file, the id once, and each distinct float once
+    per participant. Participants are streamed one at a time, so the file
+    is never held in memory as one string."""
+    width = events.goal.shape[1]
+    scenarios = int(events.scenario_id.max(initial=0)) + 1
+    options = int(events.option.max(initial=0)) + 1
+    steps = np.array([str(s) for s in range(1, width + 1)], dtype=object)
+    middles = np.array([
+        f",{goal},{j},{o},"
+        for goal in EVENT_GOALS for j in range(scenarios) for o in range(options)
+    ], dtype=object)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(EVENT_LOG_HEADER) + "\r\n")
-        for participant_id, rows in events._rows():
-            # quote the id once; a % in it is text, not a format
-            template = _csv_field(participant_id).replace("%", "%%")
-            template += ",%d,%s,%d,%d,%.12g,%.12g\r\n"
-            fh.writelines(map(template.__mod__, rows))
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes a field under ``QUOTE_MINIMAL``."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+        for i, participant_id in enumerate(events.participant_ids):
+            k = int(events.taken[i])
+            code = (events.goal[i, :k] * scenarios + events.scenario_id[i, :k]) * options
+            floats, inverse = float_table(
+                np.concatenate((events.rewards_after[i, :k], events.privacy_after[i, :k]))
+            )
+            cells = np.empty((k, 7), dtype=object)
+            cells[:, 0] = csv_field(participant_id) + ","
+            cells[:, 1] = steps[:k]
+            cells[:, 2] = middles[code + events.option[i, :k]]
+            cells[:, 3] = floats[inverse[:k]]
+            cells[:, 4] = ","
+            cells[:, 5] = floats[inverse[k:]]
+            cells[:, 6] = "\r\n"
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def read_event_log(path: str | Path) -> list[Event]:
+    """The rows of an event log file. A file that cannot be read, or a row
+    that is short or holds a non-number, raises an ``InvalidInputError``
+    naming the file and line."""
     events = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EVENT_LOG_HEADER:
-            raise InvalidInputError(f"{path}: unexpected event log header")
-        for row in reader:
-            if not row:
-                continue
-            events.append(
-                Event(
-                    participant_id=row[0],
-                    step=int(row[1]),
-                    goal=row[2],
-                    scenario_id=int(row[3]),
-                    option=int(row[4]),
-                    rewards_after=float(row[5]),
-                    privacy_after=float(row[6]),
-                )
-            )
+        try:
+            if next(reader, None) != EVENT_LOG_HEADER:
+                raise InvalidInputError(f"{path}: unexpected event log header")
+            for row in filter(None, reader):
+                if len(row) < len(EVENT_LOG_HEADER):
+                    raise InvalidInputError(
+                        f"{path}:{reader.line_num}: {len(row)} fields, "
+                        f"expected {len(EVENT_LOG_HEADER)}"
+                    )
+                events.append(Event(
+                    row[0], int(row[1]), row[2], int(row[3]), int(row[4]),
+                    float(row[5]), float(row[6]),
+                ))
+        except (InvalidInputError, UnicodeDecodeError):
+            raise
+        except (ValueError, csv.Error) as exc:
+            raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
     return events

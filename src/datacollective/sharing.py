@@ -501,7 +501,7 @@ def write_catalog(path: str | Path, catalog: ScenarioCatalog) -> None:
     lines = [
         f"{c.name} = {', '.join(c.elements)}" for c in catalog.criteria
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def profile_csv_header(catalog: ScenarioCatalog) -> list[str]:
@@ -515,7 +515,7 @@ def profile_csv_header(catalog: ScenarioCatalog) -> list[str]:
 def write_weight_profiles(
     path: str | Path, profiles: Iterable[WeightProfile], catalog: ScenarioCatalog
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(profile_csv_header(catalog))
         for p in profiles:

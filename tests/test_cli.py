@@ -1,11 +1,17 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import datacollective
 from datacollective.cli import main
+from datacollective.errors import open_text, read_text
 from datacollective.pipeline import ExperimentConfig, run_pipeline
 from datacollective.population import population_from_spec
 from datacollective.sharing import default_catalog, profile_csv_header
@@ -461,6 +467,61 @@ def test_plans_of_different_lengths(small_run, small_coordination, tmp_path, cap
         ),
         capsys, fragment,
     )
+
+
+@pytest.mark.parametrize("case", ["empty", "ragged"])
+def test_plans_file_that_is_bad_is_named(small_run, small_coordination, tmp_path, capsys, case):
+    plans = tmp_path / "plans"
+    shutil.copytree(small_run / "portfolios", plans)
+    if case == "empty":
+        bad = plans / "p0001.plans"
+        bad.write_text("")
+        fragment = f"{bad}: agent 'p0001' has no plans"
+    else:
+        bad = plans / "p0002.plans"
+        lines = bad.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]
+        bad.write_text("\n".join(lines) + "\n")
+        fragment = f"{bad}:2: plan of length 63, but the first plan has length 64"
+    _assert_one_error([
+        "coordinate", "--plans-dir", str(plans),
+        "--goal-file", str(small_coordination / "goal_very_high.csv"),
+        "--out", str(tmp_path / "coord"),
+    ], capsys, fragment)
+    _assert_one_error(
+        _evaluate_small(
+            small_run, small_coordination, tmp_path, small_run / "selections.csv", plans
+        ),
+        capsys, fragment,
+    )
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    """A participant id outside ASCII is written as UTF-8 whatever the
+    locale's encoding, and reads back through the UTF-8 readers."""
+    responses = tmp_path / "responses.csv"
+    responses.write_text(
+        "participant_id,condition,scenario_id,selection,timestamp\n"
+        + "".join(f"pé01,intrinsic,{j},{j % 5 + 1},0\n" for j in range(1, 65)),
+        encoding="utf-8",
+    )
+    src = Path(datacollective.__file__).parents[1]
+    env = {
+        **os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+    }
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "datacollective", "ingest",
+         "--responses", str(responses), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    with open_text(out / "selections.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["pé01", "intrinsic", "1", "2", "0"]
+    assert len(rows) == 65
+    assert json.loads(read_text(out / "ingest_report.json"))["accepted"] == 64
 
 
 def test_profiles_with_a_weight_that_is_not_finite(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -371,39 +372,86 @@ class TestSelectionSummary:
         assert all(len(labels) == 6 for labels in summary.selected_labels)
 
 
+def reference_portfolio_text(portfolio):
+    """A portfolio file's text with each value formatted on its own."""
+    return "".join(
+        format(plan.local_cost, ".12g") + ":"
+        + ",".join(format(v, ".12g") for v in plan.values) + "\n"
+        for plan in portfolio.plans
+    )
+
+
 class TestPortfolioFiles:
     def test_round_trip(self, tmp_path):
-        values = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        # -0.0 next to 0.0, 1e-20, and two values that print alike at 12 digits
+        values = np.array([0.0, -0.0, 1e-20, 0.25, 0.1 + 0.2, 0.3, 1 / 3, 1.0])
         portfolio = PlanPortfolio(
             "agent7",
             (
                 Plan(values, float(values.mean()), "intrinsic"),
-                Plan(values[::-1].copy(), 0.5, "rewarded1"),
+                Plan(values[::-1].copy(), -0.0, "rewarded1"),
             ),
         )
         path = tmp_path / "agent7.plans"
         write_portfolio(path, portfolio)
+        assert path.read_text(encoding="utf-8") == reference_portfolio_text(portfolio)
         loaded = read_portfolio(path, labels=["intrinsic", "rewarded1"])
         assert loaded.agent_id == "agent7"
         for a, b in zip(loaded.plans, portfolio.plans):
-            assert np.array_equal(a.values, b.values)
-            assert a.local_cost == b.local_cost
+            assert a.values.tobytes() == np.array(
+                [float(format(v, ".12g")) for v in b.values]
+            ).tobytes()
+            assert repr(a.local_cost) == repr(float(format(b.local_cost, ".12g")))
             assert a.label == b.label
 
     def test_directory_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
+        # ids with a comma, a quote, a % and non-ASCII text become file names
+        ids = ["p0", 'p,"1"', "p2%d", "pé3"]
         portfolios = []
-        for i in range(4):
-            levels = rng.integers(1, 6, size=8)
+        for i, agent_id in enumerate(ids):
+            levels = rng.integers(1, 6, size=(i + 1, 8))
             values = (5 - levels) / 4
-            portfolios.append(
-                PlanPortfolio(f"p{i}", (Plan(values, float(values.mean())),))
-            )
+            portfolios.append(PlanPortfolio(
+                agent_id, tuple(Plan(v, float(v.mean())) for v in values)
+            ))
         write_portfolio_dir(tmp_path / "plans", portfolios)
+        for portfolio in portfolios:
+            path = tmp_path / "plans" / f"{portfolio.agent_id}.plans"
+            assert path.read_text(encoding="utf-8") == reference_portfolio_text(portfolio)
         loaded = read_portfolio_dir(tmp_path / "plans")
-        assert [p.agent_id for p in loaded] == [p.agent_id for p in portfolios]
-        for a, b in zip(loaded, portfolios):
-            assert np.array_equal(a.plans[0].values, b.plans[0].values)
+        # files are read in sorted path order, which for these ids is id order
+        assert [p.agent_id for p in loaded] == sorted(ids)
+        expected = sorted(portfolios, key=lambda p: p.agent_id)
+        for a, b in zip(loaded, expected, strict=True):
+            for pa, pb in zip(a.plans, b.plans, strict=True):
+                assert np.array_equal(pa.values, pb.values)
+
+    def test_agents_of_different_plan_lengths_match_the_reference(self, tmp_path):
+        """One table for all agents still writes each agent's own values."""
+        rng = np.random.default_rng(8)
+        portfolios = [
+            PlanPortfolio(f"a{i}", tuple(
+                Plan(v, float(rng.random())) for v in rng.random((k, m))
+            ))
+            for i, (k, m) in enumerate([(3, 64), (1, 5), (2, 1), (3, 64)])
+        ]
+        write_portfolio_dir(tmp_path, portfolios)
+        for portfolio in portfolios:
+            text = (tmp_path / f"{portfolio.agent_id}.plans").read_text(encoding="utf-8")
+            assert text == reference_portfolio_text(portfolio)
+
+    @pytest.mark.parametrize("case", ["empty", "blank lines", "ragged"])
+    def test_bad_files_name_the_file(self, tmp_path, case):
+        path = tmp_path / "p7.plans"
+        if case == "ragged":
+            path.write_text("0.5:0.1,0.2\n\n0.5:0.1\n")
+            message = f"{path}:3: plan of length 1, but the first plan has length 2"
+        else:
+            path.write_text("" if case == "empty" else "\n  \n")
+            message = f"{path}: agent 'p7' has no plans"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            read_portfolio(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.plans"

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from datacollective.errors import IngestError
 from datacollective.ingest import export_responses, ingest, load_mapping
 from datacollective.population import generate_population, simulate_population
-from datacollective.sharing import Criterion, default_catalog, enumerate_scenarios
+from datacollective.sharing import (
+    Criterion,
+    SelectionVector,
+    default_catalog,
+    enumerate_scenarios,
+)
 
 
 def write_rows(path, header, rows):
@@ -159,6 +165,38 @@ class TestRoundTrip:
                 assert np.array_equal(
                     sv.selections, simulations[pid][condition].selections
                 )
+
+    def test_export_matches_the_csv_writer(self, tmp_path):
+        """Ids and condition names that need quoting or are not ASCII, and
+        vectors of two lengths and two level counts, in the bytes
+        ``csv.writer`` writes."""
+        rng = np.random.default_rng(3)
+        awkward = ['a,"b"\r\nc', "100%", "pé01", "p%d", "plain"]
+        simulations = {
+            pid: {
+                condition: SelectionVector(rng.integers(1, z + 1, size=m), z)
+                for condition, m, z in [
+                    ("intrinsic", 64, 5), ("re,warded", 64, 3), ("ré\"2", 7, 5)
+                ]
+            }
+            for pid in awkward
+        }
+        path, expected = tmp_path / "export.csv", tmp_path / "expected.csv"
+        export_responses(path, simulations)
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CANONICAL)
+            for pid in sorted(simulations):
+                for condition in sorted(simulations[pid]):
+                    for j, s in enumerate(simulations[pid][condition].selections, start=1):
+                        writer.writerow([pid, condition, j, int(s), 0])
+        assert path.read_bytes() == expected.read_bytes()
+        bundle, report = ingest(path)
+        assert report.rejected == 0
+        for pid, by_condition in simulations.items():
+            for condition, sv in by_condition.items():
+                answers = bundle.answers[condition][pid]
+                assert [answers[j] for j in range(1, sv.m + 1)] == sv.selections.tolist()
 
 
 # One row for each rejection message, plus the rows the parser must accept:

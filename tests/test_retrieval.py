@@ -1,4 +1,6 @@
 import csv
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,13 +214,14 @@ class TestGreedyLoop:
 
 def event_log(events):
     """The columnar log of ``events``, which come participant-major with
-    steps 1..k per participant."""
+    steps 1..k per participant. The cells past a participant's last step
+    hold filler, so a writer that reads them writes rows no event has."""
     ids = list(dict.fromkeys(e.participant_id for e in events))
     rows = [[e for e in events if e.participant_id == pid] for pid in ids]
     width = max(len(r) for r in rows)
 
     def column(values, dtype):
-        out = np.zeros((len(ids), width), dtype=dtype)
+        out = np.full((len(ids), width), 2 if dtype is np.intp else 0.875, dtype=dtype)
         for i, r in enumerate(rows):
             out[i, : len(r)] = [values(e) for e in r]
         return out
@@ -234,6 +237,17 @@ def event_log(events):
     )
 
 
+def write_reference_event_log(path, events):
+    """The event log as ``csv.writer`` writes it, with .12g floats."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EVENT_LOG_HEADER)
+        for e in events:
+            writer.writerow(
+                [*e[:5], format(e.rewards_after, ".12g"), format(e.privacy_after, ".12g")]
+            )
+
+
 class TestEventLog:
     def test_round_trip(self, tmp_path):
         awkward = 'a,"b"\nc'  # comma, double quote and newline
@@ -245,24 +259,78 @@ class TestEventLog:
             Event(awkward, 3, IMPROVE_PRIVACY, 2, 4, 17.5, 0.0),
             Event("100%", 1, "first_pass", 3, 2, 2.5, 0.25),
             Event("two\r\nlines", 1, "first_pass", 5, 5, 0.0, 1.0),
+            # non-ASCII text, a %d that is text, and -0.0 next to 0.0, NaN
+            # and 1e-20 in one column; the same value in both float columns
+            Event("pé,%d", 1, "first_pass", 9, 1, -0.0, 0.0),
+            Event("pé,%d", 2, IMPROVE_REWARDS, 10, 2, 0.0, -0.0),
+            Event("pé,%d", 3, IMPROVE_REWARDS, 11, 3, float("nan"), 1e-20),
+            Event("pé,%d", 4, IMPROVE_PRIVACY, 12, 4, 1e-20, float("nan")),
+            Event("pé,%d", 5, IMPROVE_PRIVACY, 13, 5, 0.1 + 0.2, 0.1 + 0.2),
+            Event("pé,%d", 6, IMPROVE_PRIVACY, 13, 5, 0.3, float("inf")),
         ]
+        # every participant but the last is cut before the log's width
         log = event_log(events)
         assert len(log) == len(events)
-        assert list(log) == events
+        # repr, so that NaN compares equal to itself and -0.0 differs from 0.0
+        assert repr(list(log)) == repr(events)
         path = tmp_path / "events.csv"
         write_event_log(path, log)
-        assert read_event_log(path) == events
+        # floats come back at the 12 digits they were written with
+        assert repr(read_event_log(path)) == repr([
+            e._replace(rewards_after=float(f"{e.rewards_after:.12g}"),
+                       privacy_after=float(f"{e.privacy_after:.12g}"))
+            for e in events
+        ])
 
-        # the same bytes as csv.writer with .12g floats
         expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EVENT_LOG_HEADER)
-            for e in events:
-                writer.writerow(
-                    [*e[:5], format(e.rewards_after, ".12g"), format(e.privacy_after, ".12g")]
-                )
+        write_reference_event_log(expected, events)
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_writing_streams_one_participant_at_a_time(self, tmp_path):
+        """Writing 84 participants x 448 steps of distinct floats never
+        allocates as much as the 2.2 MB file at once."""
+        n, k = 84, 448
+        rng = np.random.default_rng(9)
+        log = EventLog(
+            tuple(f"p{i:04d}" for i in range(n)),
+            np.full(n, k),
+            rng.integers(0, 3, size=(n, k)),
+            rng.integers(1, 65, size=(n, k)),
+            rng.integers(1, 6, size=(n, k)),
+            rng.random((n, k)) * 10,
+            rng.random((n, k)),
+        )
+        path = tmp_path / "events.csv"
+        tracemalloc.start()
+        try:
+            write_event_log(path, log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2_000_000
+        assert peak < 2_000_000, peak
+
+    def test_bad_files_name_the_file_and_line(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(missing))}: cannot read"):
+            read_event_log(missing)
+        header = ",".join(EVENT_LOG_HEADER) + "\r\n"
+        good = "p1,1,first_pass,1,3,1.25,0.5\r\n"
+        for bad, line, fragment in [
+            ("p1,x,first_pass,1,3,1.25,0.5\r\n", 3, "invalid literal for int()"),
+            ("p1,2,first_pass,1,3,abc,0.5\r\n", 3, "could not convert string to float"),
+            ("p1,2,first_pass\r\n", 3, "3 fields, expected 7"),
+            ("p" * 200_000 + ",2,first_pass,1,3,1.25,0.5\r\n", 3, "field larger than"),
+        ]:
+            path = tmp_path / "events.csv"
+            path.write_text(header + good + bad, encoding="utf-8", newline="")
+            with pytest.raises(
+                InvalidInputError, match=f"^{re.escape(str(path))}:{line}: .*{re.escape(fragment)}"
+            ):
+                read_event_log(path)
+        path.write_bytes((header + good).encode() + b"p\xff,2,first_pass,1,3,1.25,0.5\r\n")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}:3: not UTF-8 text"):
+            read_event_log(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "events.csv"
