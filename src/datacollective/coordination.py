@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -45,9 +46,18 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidWeightsError, read_json_object, read_text
 from .goals import GoalSignal, standardize
-from .textformat import float_table
+from .textformat import float_table, is_file_stem
 
 WEIGHT_TOL = 1e-12
+
+
+VALUES_OUT_OF_RANGE = "plan values must lie in [0, 1]"
+COST_OUT_OF_RANGE = "plan local cost must lie in [0, 1]"
+
+
+def _in_unit(x):
+    """Elementwise 0 <= x <= 1, written so that NaN fails the test too."""
+    return (x >= 0) & (x <= 1)
 
 
 @dataclass(frozen=True)
@@ -64,29 +74,84 @@ class Plan:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise InvalidInputError("plan values must be a non-empty vector")
-        # Written so that NaN fails the test too.
-        if not np.all((vals >= 0) & (vals <= 1)):
-            raise InvalidInputError("plan values must lie in [0, 1]")
-        if not 0.0 <= self.local_cost <= 1.0:
-            raise InvalidInputError("plan local cost must lie in [0, 1]")
+        if not _in_unit(vals).all():
+            raise InvalidInputError(VALUES_OUT_OF_RANGE)
+        if not _in_unit(self.local_cost):
+            raise InvalidInputError(COST_OUT_OF_RANGE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PlanPortfolio:
-    agent_id: str
-    plans: tuple[Plan, ...]
+    """An agent's K candidate plans as one read-only (K, m) array of values
+    in [0, 1], their (K,) local costs in [0, 1] and K labels.
 
-    def __post_init__(self):
-        object.__setattr__(self, "plans", tuple(self.plans))
-        if not self.plans:
-            raise InvalidInputError(f"agent '{self.agent_id}' has no plans")
-        length = self.plans[0].values.size
-        if any(p.values.size != length for p in self.plans):
-            raise InvalidInputError(f"agent '{self.agent_id}' has mixed plan lengths")
+    ``PlanPortfolio(agent_id, plans)`` stacks ``Plan`` rows;
+    ``from_arrays`` takes the arrays and checks them by the same rules.
+    """
+
+    agent_id: str
+    values: np.ndarray
+    costs: np.ndarray
+    labels: tuple[str, ...]
+
+    def __init__(self, agent_id: str, plans: Sequence[Plan]):
+        plans = tuple(plans)
+        if not plans:
+            raise InvalidInputError(f"agent '{agent_id}' has no plans")
+        if any(p.values.size != plans[0].values.size for p in plans):
+            raise InvalidInputError(f"agent '{agent_id}' has mixed plan lengths")
+        self._set(
+            agent_id,
+            np.array([p.values for p in plans]),
+            np.array([p.local_cost for p in plans], dtype=float),
+            tuple(p.label for p in plans),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        agent_id: str,
+        values: np.ndarray,
+        costs: np.ndarray,
+        labels: Sequence[str] | None = None,
+    ) -> "PlanPortfolio":
+        """Plans from a (K, m) value array and (K,) costs; labels default to
+        plan1..planK."""
+        values = np.array(values, dtype=float)
+        costs = np.array(costs, dtype=float)
+        if values.ndim != 2 or values.shape[0] == 0:
+            raise InvalidInputError(f"agent '{agent_id}' has no plans")
+        if values.shape[1] == 0:
+            raise InvalidInputError("plan values must be a non-empty vector")
+        k = values.shape[0]
+        labels = tuple(f"plan{j}" for j in range(1, k + 1)) if labels is None else tuple(labels)
+        if costs.shape != (k,) or len(labels) != k:
+            raise InvalidInputError(f"agent '{agent_id}' needs one cost and one label per plan")
+        if not _in_unit(values).all():
+            raise InvalidInputError(VALUES_OUT_OF_RANGE)
+        if not _in_unit(costs).all():
+            raise InvalidInputError(COST_OUT_OF_RANGE)
+        portfolio = cls.__new__(cls)
+        portfolio._set(agent_id, values, costs, labels)
+        return portfolio
+
+    def _set(self, agent_id, values, costs, labels) -> None:
+        values.flags.writeable = costs.flags.writeable = False
+        for name, value in zip(("agent_id", "values", "costs", "labels"),
+                               (agent_id, values, costs, labels)):
+            object.__setattr__(self, name, value)
 
     @property
     def plan_length(self) -> int:
-        return int(self.plans[0].values.size)
+        return int(self.values.shape[1])
+
+    @cached_property
+    def plans(self) -> tuple[Plan, ...]:
+        """The plans as ``Plan`` rows, whose values are views of ``values``."""
+        return tuple(
+            Plan(values, float(cost), label)
+            for values, cost, label in zip(self.values, self.costs, self.labels)
+        )
 
 
 @dataclass(frozen=True)
@@ -251,15 +316,14 @@ def _optimize(
     goal_std = standardize(goal.values)
     # Per agent, K plan slots; an agent with fewer plans gets padded slots
     # that cost +inf, with count 1 so their mean stays finite.
-    K = max(len(p.plans) for p in portfolios)
+    counts = np.array([len(p.costs) for p in portfolios])
+    K = counts.max()
+    padded = np.arange(K) >= counts[:, None]
     values = np.zeros((n, K, m))
+    values[~padded] = np.concatenate([p.values for p in portfolios])
     plan_stats = np.tile([1.0, 0.0, 0.0], (n, K, 1))
-    padded = np.ones((n, K), dtype=bool)
-    for a, portfolio in enumerate(portfolios):
-        k = len(portfolio.plans)
-        values[a, :k] = [p.values for p in portfolio.plans]
-        plan_stats[a, :k, 1:] = [[p.local_cost, p.local_cost**2] for p in portfolio.plans]
-        padded[a, :k] = False
+    costs = np.concatenate([p.costs for p in portfolios])
+    plan_stats[~padded, 1:] = np.column_stack([costs, costs**2])
     levels = topologies[0].levels()
     parent = (np.arange(n) - 1) // c
 
@@ -275,6 +339,8 @@ def _optimize(
     responses = np.zeros((R, iterations, m))
     trace = np.zeros((R, iterations))
     stop = np.full(R, iterations)  # iteration a repetition stopped at
+    live = np.arange(R)  # the repetition in each row of the working arrays
+    agent_position = np.argsort(order, axis=1)[:, None, :]
 
     for it in range(iterations):
         # Bottom-up, deepest depth first. Position p's children are
@@ -282,8 +348,8 @@ def _optimize(
         # next depth's (c*l + j)-th; summing j in order matches the
         # one-position-at-a-time sum.
         for s, e in reversed(levels):
-            child_agg = np.zeros((R, e - s, m))
-            child_stats = np.zeros((R, e - s, 3))
+            child_agg = np.zeros((live.size, e - s, m))
+            child_stats = np.zeros((live.size, e - s, 3))
             for j in range(c):
                 kids = slice(e + j, min(c * e + 1, n), c)
                 k = len(range(n)[kids])  # children with offset j
@@ -329,20 +395,26 @@ def _optimize(
         # its context is the previous global response minus itself, i.e. zero.
         cost_prev = np.where(keep[:, 0], best_cost[:, 0], cost_prev)
 
-        selections[:, it] = sel
-        responses[:, it] = agg[:, 0]
-        trace[:, it] = cost_prev
+        selections[live, it] = sel
+        responses[live, it] = agg[:, 0]
+        trace[live, it] = cost_prev
 
-        # A fixed point (see the module docstring): later iterations repeat it.
-        stop[(stop == iterations) & ~moved] = it
-        if np.all(stop < iterations):
-            break
+        # A fixed point (see the module docstring): later iterations repeat
+        # it, so the repetition leaves the working arrays. Repetitions never
+        # read each other's rows.
+        if not moved.all():
+            stop[live[~moved]] = it
+            live = live[moved]
+            if not live.size:
+                break
+            sel, agg, stats, agg_new, stats_new, cand, keep, cost_prev, order = (
+                x[moved] for x in (sel, agg, stats, agg_new, stats_new, cand, keep, cost_prev, order)
+            )
 
     # A stopped repetition repeats its final state to full length; selections
     # are reported in portfolio order rather than tree order.
     last = np.minimum(np.arange(iterations), stop[:, None])
     rows = np.arange(R)[:, None]
-    agent_position = np.argsort(order, axis=1)[:, None, :]
     by_agent = np.take_along_axis(selections[rows, last], agent_position, axis=2)
     return by_agent, responses[rows, last], trace[rows, last]
 
@@ -367,10 +439,8 @@ def selection_summary(
         raise InvalidInputError("need at least one run")
     finals = np.array([run.final_cost() for run in runs])
     labels = tuple(
-        tuple(
-            portfolios[a].plans[run.final_selections()[a]].label for run in runs
-        )
-        for a in range(len(portfolios))
+        tuple(portfolio.labels[run.final_selections()[a]] for run in runs)
+        for a, portfolio in enumerate(portfolios)
     )
     return SelectionSummary(
         agent_ids=tuple(p.agent_id for p in portfolios),
@@ -396,38 +466,17 @@ def read_portfolio(
     labels: Sequence[str] | None = None,
 ) -> PlanPortfolio:
     path = Path(path)
-    agent_id = agent_id if agent_id is not None else path.stem
-    plans = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise InvalidInputError(f"{path}:{lineno}: expected 'cost:v1,v2,...'")
-        cost_part, _, values_part = line.partition(":")
-        label = (
-            labels[len(plans)]
-            if labels is not None and len(plans) < len(labels)
-            else f"plan{len(plans) + 1}"
-        )
-        try:
-            values = np.array([float(v) for v in values_part.split(",")])
-            plans.append(Plan(values=values, local_cost=float(cost_part), label=label))
-        except ValueError as exc:  # also InvalidInputError from Plan
-            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
-        if values.size != plans[0].values.size:
-            raise InvalidInputError(
-                f"{path}:{lineno}: plan of length {values.size}, "
-                f"but the first plan has length {plans[0].values.size}"
-            )
-    if not plans:
-        raise InvalidInputError(f"{path}: agent '{agent_id}' has no plans")
-    return PlanPortfolio(agent_id=agent_id, plans=tuple(plans))
+    return _read_plan_files([path], [path.stem if agent_id is None else agent_id], labels)[0]
 
 
 def write_portfolio_dir(
     directory: str | Path, portfolios: Sequence[PlanPortfolio]
 ) -> None:
+    """One ``<agent id>.plans`` file per agent; an id that does not name a
+    file in ``directory`` (a path separator, ``..``) is refused by name."""
+    unsafe = [p.agent_id for p in portfolios if not is_file_stem(p.agent_id)]
+    if unsafe:
+        raise InvalidInputError(f"agent id {unsafe[0]!r} cannot name a .plans file")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for portfolio, text in zip(portfolios, _portfolio_texts(portfolios)):
@@ -437,19 +486,17 @@ def write_portfolio_dir(
 def _portfolio_texts(portfolios: Sequence[PlanPortfolio]):
     """Each portfolio's file text, one join per agent. Every distinct plan
     value or cost among all the portfolios is formatted once, as ``%.12g``."""
-    plans = [plan for portfolio in portfolios for plan in portfolio.plans]
+    costs = np.concatenate([p.costs for p in portfolios])
     texts, inverse = float_table(
-        np.concatenate([[plan.local_cost for plan in plans], *(p.values for p in plans)])
+        np.concatenate([costs, *(p.values.ravel() for p in portfolios)])
     )
-    costs = iter(texts[inverse[: len(plans)]].tolist())
-    start = len(plans)
+    cost_texts = iter(texts[inverse[: costs.size]].tolist())
+    start = costs.size
     for portfolio in portfolios:
-        lines = []
-        for plan in portfolio.plans:
-            stop = start + plan.values.size
-            lines += (next(costs), ":", ",".join(texts[inverse[start:stop]].tolist()), "\n")
-            start = stop
-        yield "".join(lines)
+        k, m = portfolio.values.shape
+        rows = texts[inverse[start : start + k * m]].reshape(k, m).tolist()
+        start += k * m
+        yield "".join(f"{next(cost_texts)}:{','.join(row)}\n" for row in rows)
 
 
 def read_portfolio_dir(
@@ -458,15 +505,104 @@ def read_portfolio_dir(
     paths = sorted(Path(directory).glob("*.plans"))
     if not paths:
         raise InvalidInputError(f"no .plans files under {directory}")
-    portfolios = [read_portfolio(p, labels=labels) for p in paths]
-    length = portfolios[0].plan_length
-    for path, portfolio in zip(paths, portfolios):
-        if portfolio.plan_length != length:
+    return _read_plan_files(paths, [p.stem for p in paths], labels)
+
+
+def _read_plan_files(
+    paths: Sequence[Path], agent_ids: Sequence[str], labels: Sequence[str] | None
+) -> list[PlanPortfolio]:
+    """Each file's portfolio, with the plan lines of all files parsed into one
+    (plans, m) array whose rows each portfolio views.
+
+    The error raised is the one a line-by-line reader meets first: in file
+    order, then line order, then per line a missing ':', a value or cost that
+    is not a number, a value out of range, a cost out of range and a length
+    unlike the file's first plan; a file without plans after its last line;
+    and, once every file has been read, a plan length unlike the first file's.
+    """
+    lines, late = _plan_lines(paths, agent_ids)
+    try:
+        numbers, costs = _plan_numbers(lines)
+    except ValueError:
+        # No line past the first one that does not parse is ever reached.
+        for i, (f, lineno, cost, values) in enumerate(lines):
+            try:
+                [float(v) for v in values.split(",")], float(cost)
+            except ValueError as exc:
+                late = f"{paths[f]}:{lineno}: {exc}"
+                del lines[i:]
+                break
+        numbers, costs = _plan_numbers(lines)
+
+    files = np.array([line[0] for line in lines], dtype=np.intp)
+    lengths = np.array([line[3].count(",") + 1 for line in lines], dtype=np.intp)
+    firsts = np.searchsorted(files, np.arange(len(paths)))  # each file's first line
+    first_length = lengths[firsts[files]]
+    bad_values = np.zeros(len(lines), dtype=bool)
+    bad_values[np.repeat(np.arange(len(lines)), lengths)[~_in_unit(numbers)]] = True
+    bad_costs = ~_in_unit(costs)
+    broken = np.flatnonzero(bad_values | bad_costs | (lengths != first_length))
+    if broken.size:
+        i = broken[0]
+        f, lineno = lines[i][:2]
+        if bad_values[i] or bad_costs[i]:
+            message = VALUES_OUT_OF_RANGE if bad_values[i] else COST_OUT_OF_RANGE
+        else:
+            message = f"plan of length {lengths[i]}, but the first plan has length {first_length[i]}"
+        raise InvalidInputError(f"{paths[f]}:{lineno}: {message}")
+    if late is not None:
+        raise InvalidInputError(late)
+    file_lengths = lengths[firsts]
+    for path, length in zip(paths, file_lengths):
+        if length != file_lengths[0]:
             raise InvalidInputError(
-                f"{path}: plans of length {portfolio.plan_length}, "
-                f"but {paths[0].name} has plans of length {length}"
+                f"{path}: plans of length {length}, "
+                f"but {paths[0].name} has plans of length {file_lengths[0]}"
             )
+
+    values = numbers.reshape(len(lines), -1)
+    bounds = np.append(firsts, len(lines)).tolist()
+    portfolios = []
+    for f, agent_id in enumerate(agent_ids):
+        k = bounds[f + 1] - bounds[f]
+        plan_labels = tuple(
+            labels[j] if labels is not None and j < len(labels) else f"plan{j + 1}"
+            for j in range(k)
+        )
+        portfolio = PlanPortfolio.__new__(PlanPortfolio)
+        portfolio._set(agent_id, values[bounds[f]:bounds[f + 1]],
+                       costs[bounds[f]:bounds[f + 1]], plan_labels)
+        portfolios.append(portfolio)
     return portfolios
+
+
+def _plan_lines(paths: Sequence[Path], agent_ids: Sequence[str]):
+    """Every plan line as (file index, line number, cost text, values text),
+    up to the first line without ':' or file without plans, and that error
+    (None if there is none)."""
+    lines = []
+    for f, path in enumerate(paths):
+        first = len(lines)
+        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+            line = raw.strip()
+            if line:
+                cost, colon, values = line.partition(":")
+                if not colon:
+                    return lines, f"{path}:{lineno}: expected 'cost:v1,v2,...'"
+                lines.append((f, lineno, cost, values))
+        if len(lines) == first:
+            return lines, f"{path}: agent '{agent_ids[f]}' has no plans"
+    return lines, None
+
+
+def _plan_numbers(lines) -> tuple[np.ndarray, np.ndarray]:
+    """All plan values, line after line, and the costs, each converted in
+    one pass; a text that is not a number raises ``ValueError``."""
+    values = ",".join([line[3] for line in lines]).split(",") if lines else []
+    return (
+        np.fromiter(map(float, values), dtype=float, count=len(values)),
+        np.fromiter(map(float, [line[2] for line in lines]), dtype=float, count=len(lines)),
+    )
 
 
 def run_to_dict(run: CoordinationRun) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import IngestError, InvalidInputError, open_text, read_json_object
 from .sharing import ScenarioCatalog, SelectionVector, WeightProfile, read_weight_profiles
-from .textformat import csv_field
+from .textformat import csv_field, is_file_stem
 
 REQUIRED_COLUMNS = ("participant_id", "condition", "scenario_id", "selection")
 
@@ -257,6 +257,10 @@ def ingest(
                             row_errors.append((lineno, f"unparseable timestamp '{raw}'"))
                             continue
                 if pid != last_pid or raw_condition != last_condition:
+                    # the id names the participant's .plans file
+                    if not is_file_stem(pid):
+                        row_errors.append((lineno, f"participant id {pid!r} cannot name a file"))
+                        continue
                     last_pid, last_condition = pid, raw_condition
                     condition = condition_values.get(raw_condition, raw_condition)
                     chosen = answers.setdefault(condition, {}).setdefault(pid, {})

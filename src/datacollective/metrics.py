@@ -92,20 +92,26 @@ class ConditionSnapshot:
         if not choices:
             raise InvalidInputError("need at least one coordination run")
         n = len(portfolios)
-        sel = np.zeros((len(choices), n, portfolios[0].plan_length), dtype=np.intp)
-        labels = np.empty((len(choices), n), dtype=object)
-        for r, chosen in enumerate(choices):
-            if len(chosen) != n or not all(
-                0 <= k < len(p.plans) for p, k in zip(portfolios, chosen)
-            ):
-                raise InvalidInputError(
-                    f"repetition {r}: plan choices do not fit the {n} portfolios"
-                )
-            for a, (portfolio, k) in enumerate(zip(portfolios, chosen)):
-                plan = portfolio.plans[k]
-                levels = np.rint(z - plan.values * (z - 1)).astype(np.intp)
-                sel[r, a] = np.clip(levels, 1, z)
-                labels[r, a] = plan.label
+        counts = np.array([len(p.costs) for p in portfolios])
+        # A repetition of the wrong length, or with a choice too large for
+        # an index, keeps the choices -1, which never fit.
+        chosen = np.full((len(choices), n), -1, dtype=np.intp)
+        for r, row in enumerate(choices):
+            if len(row) == n:
+                try:
+                    chosen[r] = row
+                except OverflowError:
+                    pass
+        misfit = ((chosen < 0) | (chosen >= counts)).any(axis=1)
+        if misfit.any():
+            raise InvalidInputError(
+                f"repetition {int(np.argmax(misfit))}: plan choices do not fit the {n} portfolios"
+            )
+        # Every repetition's chosen plans, as rows of all plans stacked.
+        rows = np.cumsum(counts) - counts + chosen
+        values = np.concatenate([p.values for p in portfolios])[rows]
+        sel = np.clip(np.rint(z - values * (z - 1)).astype(np.intp), 1, z)
+        labels = np.array([label for p in portfolios for label in p.labels], dtype=object)[rows]
         return cls(
             label=label,
             participant_ids=tuple(p.agent_id for p in portfolios),

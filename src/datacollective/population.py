@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coordination import Plan, PlanPortfolio
+from .coordination import PlanPortfolio
 from .errors import IncompletePortfolioError, InvalidInputError, read_json_object
 from .retrieval import EventLog
 from .sharing import (
@@ -558,12 +558,9 @@ def build_portfolio(
         raise IncompletePortfolioError(
             f"participant '{participant_id}' lacks conditions: {missing}"
         )
-    plans = []
-    for condition in required:
-        sv = conditions[condition]
-        values = (sv.z - sv.selections) / (sv.z - 1)
-        plans.append(Plan(values=values, local_cost=float(values.mean()), label=condition))
-    return PlanPortfolio(agent_id=participant_id, plans=tuple(plans))
+    vectors = [conditions[c] for c in required]
+    values = np.array([(sv.z - sv.selections) / (sv.z - 1) for sv in vectors])
+    return PlanPortfolio.from_arrays(participant_id, values, values.mean(axis=1), required)
 
 
 def build_portfolios(

@@ -175,18 +175,26 @@ class WeightProfile:
         object.__setattr__(self, "element_weights", ews)
         if cw.ndim != 1 or len(ews) != cw.shape[0]:
             raise InvalidInputError("criterion/element weight shapes disagree")
+        weights = np.concatenate((cw, *ews), axis=None)
         # NaN fails no range or sum comparison below, so reject it here
-        if not (np.isfinite(cw).all() and all(np.isfinite(ew).all() for ew in ews)):
+        if not np.isfinite(weights).all():
             raise InvalidInputError("criterion and element weights must be finite")
-        if np.any(cw < -WEIGHT_TOL) or np.any(cw > 1 + WEIGHT_TOL):
+        if cw.size and (cw.min() < -WEIGHT_TOL or cw.max() > 1 + WEIGHT_TOL):
             raise InvalidInputError("criterion weights must lie in [0, 1]")
         if abs(cw.sum() - 1.0) > WEIGHT_TOL:
             raise InvalidInputError("criterion weights must sum to 1")
-        for u, ew in enumerate(ews):
-            if np.any(ew < -WEIGHT_TOL) or np.any(ew > 1 + WEIGHT_TOL):
-                raise InvalidInputError(f"element weights of criterion {u + 1} out of [0, 1]")
-            if abs(ew.sum() - 1.0) > WEIGHT_TOL:
-                raise InvalidInputError(f"element weights of criterion {u + 1} must sum to 1")
+        elements = weights[cw.size:]
+        sums = [ew.sum() for ew in ews]
+        if (
+            elements.size and (elements.min() < -WEIGHT_TOL or elements.max() > 1 + WEIGHT_TOL)
+            or any(abs(total - 1.0) > WEIGHT_TOL for total in sums)
+        ):
+            # name the first criterion whose elements break a rule, range first
+            for u, (ew, total) in enumerate(zip(ews, sums), start=1):
+                if np.any(ew < -WEIGHT_TOL) or np.any(ew > 1 + WEIGHT_TOL):
+                    raise InvalidInputError(f"element weights of criterion {u} out of [0, 1]")
+                if abs(total - 1.0) > WEIGHT_TOL:
+                    raise InvalidInputError(f"element weights of criterion {u} must sum to 1")
 
     @classmethod
     def uniform(cls, catalog: ScenarioCatalog, participant_id: str = "uniform") -> "WeightProfile":

@@ -1,7 +1,10 @@
 """The text format of the artifact files, shared by their writers: CSV fields
-quoted as ``csv.writer`` quotes them, and floats at 12 significant digits."""
+quoted as ``csv.writer`` quotes them, floats at 12 significant digits, and the
+ids that may name a file."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -21,3 +24,13 @@ def float_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     texts = np.array(list(map("%.12g".__mod__, bits.view(np.float64).tolist())), dtype=object)
     return texts, inverse
+
+
+# a path separator, or NUL, the one character no file name may hold
+_NOT_IN_FILE_NAMES = re.compile(r"[/\\\x00]")
+
+
+def is_file_stem(name: str) -> bool:
+    """Whether ``name`` names a file in its directory when used as a file
+    name: not empty, ``.`` or ``..``, and no path separator or NUL."""
+    return name not in ("", ".", "..") and not _NOT_IN_FILE_NAMES.search(name)

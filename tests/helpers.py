@@ -77,6 +77,47 @@ def ragged_portfolios(rng, n, m=16):
     return portfolios
 
 
+def read_plans_reference(paths, labels=None):
+    """The line-by-line ``.plans`` reader: per file its agent id, plan values,
+    costs and labels, or the message of the first broken rule."""
+    portfolios = []
+    for path in paths:
+        plans = []
+        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if ":" not in line:
+                return f"{path}:{lineno}: expected 'cost:v1,v2,...'"
+            cost_part, _, values_part = line.partition(":")
+            try:
+                values = [float(v) for v in values_part.split(",")]
+                cost = float(cost_part)
+            except ValueError as exc:
+                return f"{path}:{lineno}: {exc}"
+            if not all(0 <= v <= 1 for v in values):  # NaN fails too
+                return f"{path}:{lineno}: plan values must lie in [0, 1]"
+            if not 0 <= cost <= 1:
+                return f"{path}:{lineno}: plan local cost must lie in [0, 1]"
+            if plans and len(values) != len(plans[0][0]):
+                return (f"{path}:{lineno}: plan of length {len(values)}, "
+                        f"but the first plan has length {len(plans[0][0])}")
+            k = len(plans)
+            plans.append((values, cost, labels[k] if labels and k < len(labels) else f"plan{k + 1}"))
+        if not plans:
+            return f"{path}: agent '{path.stem}' has no plans"
+        portfolios.append((path.stem, plans))
+    length = len(portfolios[0][1][0][0])
+    for path, (_, plans) in zip(paths, portfolios):
+        if len(plans[0][0]) != length:
+            return (f"{path}: plans of length {len(plans[0][0])}, "
+                    f"but {paths[0].name} has plans of length {length}")
+    return [
+        (agent_id, [v for v, _, _ in plans], [c for _, c, _ in plans], [l for _, _, l in plans])
+        for agent_id, plans in portfolios
+    ]
+
+
 def random_goal(rng, m=16, level=5):
     return GoalSignal(level, rng.random(m))
 

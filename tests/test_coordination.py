@@ -31,6 +31,7 @@ from helpers import (
     ragged_portfolios,
     random_goal,
     random_portfolios,
+    read_plans_reference,
 )
 
 # SHA-256 of the JSON of ``run_to_dict`` for every run of a seeded ternary-tree
@@ -115,6 +116,36 @@ def test_fixed_point_exit_stops_computing(monkeypatch):
             assert np.all(rows[ran - 2:] == rows[ran - 1])
 
 
+def test_stopped_repetitions_leave_the_kernel(monkeypatch):
+    rng = np.random.default_rng(5)
+    portfolios = ragged_portfolios(rng, 50)
+    goal = random_goal(rng)
+    leading = []
+
+    def recorded_cost(*args):
+        leading.append(args[0].shape[0])
+        return _cost(*args)
+
+    monkeypatch.setattr(coordination, "_cost", recorded_cost)
+    runs = coordinate(portfolios, goal, CostWeights(0.3, 0.2), iterations=30, repetitions=5,
+                      seed=5)
+    # A repetition stops at the first iteration that repeats the one before.
+    stops = [
+        next(it for it in range(1, 30)
+             if np.array_equal(run.selections[it], run.selections[it - 1])
+             and run.cost_trace[it] == run.cost_trace[it - 1])
+        for run in runs
+    ]
+    assert len(set(stops)) == len(runs)
+    # Every depth of an iteration scores the repetitions still running.
+    depths = len(build_tree(50).levels())
+    assert leading == [
+        sum(stop >= it for stop in stops) for it in range(max(stops) + 1) for _ in range(depths)
+    ]
+    # Recorded from the optimizer that kept every repetition to the end.
+    assert _runs_digest(runs) == "c752c63d0fe09a8f7f673ba2f4dc4c75686c7f5086576a09723a4bdf47976312"
+
+
 def test_flat_cost_does_not_stop_a_moving_repetition():
     # Plan values on a quarter grid with alpha = 1 (variance only) make
     # distinct configurations tie in cost, so a repetition can keep its cost
@@ -158,6 +189,32 @@ class TestPlans:
             )
         with pytest.raises(InvalidInputError):
             PlanPortfolio("a", ())
+
+    @pytest.mark.parametrize(
+        "values, costs, labels, message",
+        [
+            (np.zeros((0, 3)), [], None, "agent 'a' has no plans"),
+            (np.zeros(3), [0.0], None, "agent 'a' has no plans"),
+            (np.zeros((2, 0)), [0.0, 0.0], None, "plan values must be a non-empty vector"),
+            (np.zeros((2, 3)), [0.0], None, "agent 'a' needs one cost and one label per plan"),
+            (np.zeros((2, 3)), [0.0, 0.0], ["x"], "agent 'a' needs one cost and one label per plan"),
+            (np.full((1, 2), np.nan), [0.0], None, "plan values must lie in [0, 1]"),
+            (np.zeros((1, 2)), [1.5], None, "plan local cost must lie in [0, 1]"),
+        ],
+    )
+    def test_portfolio_from_arrays_checks_the_plan_rules(self, values, costs, labels, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            PlanPortfolio.from_arrays("a", values, costs, labels)
+
+    def test_portfolio_rows_are_plans(self):
+        values = np.array([[0.0, 0.5], [1.0, 0.25]])
+        portfolio = PlanPortfolio.from_arrays("a", values, [0.25, 0.625], ["x", "y"])
+        assert [(p.values.tolist(), p.local_cost, p.label) for p in portfolio.plans] == [
+            ([0.0, 0.5], 0.25, "x"), ([1.0, 0.25], 0.625, "y"),
+        ]
+        assert PlanPortfolio("a", portfolio.plans).values.tobytes() == values.tobytes()
+        values[0, 0] = 1.0  # the portfolio holds its own read-only copy
+        assert portfolio.values[0, 0] == 0.0 and not portfolio.values.flags.writeable
 
 
 class TestCostWeights:
@@ -468,6 +525,91 @@ class TestPortfolioFiles:
         path.write_text(f"0.5:0.1,0.2\n\n{line}\n")
         with pytest.raises(InvalidInputError, match=rf"bad\.plans:3: "):
             read_portfolio(path)
+
+    def test_directory_reads_back_the_written_arrays(self, tmp_path):
+        # levels on a quarter grid and their means print exactly at 12 digits
+        rng = np.random.default_rng(21)
+        portfolios = []
+        for i, k in enumerate([1, 4, 2, 3, 1]):
+            values = (5 - rng.integers(1, 6, size=(k, 8))) / 4
+            portfolios.append(PlanPortfolio.from_arrays(f"p{i}", values, values.mean(axis=1)))
+        write_portfolio_dir(tmp_path, portfolios)
+        loaded = read_portfolio_dir(tmp_path, labels=["a", "b", "c"])
+        assert [p.agent_id for p in loaded] == [p.agent_id for p in portfolios]
+        for a, b in zip(loaded, portfolios, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.costs.tobytes() == b.costs.tobytes()
+            assert a.labels == ("a", "b", "c", "plan4")[: len(b.labels)]
+            with pytest.raises(ValueError):
+                a.values[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ("0.5:0.1,0.2\n0.25:1,0\nnan:0.5,0.5\n", "p1.plans:3: plan local cost must lie in [0, 1]"),
+            ("0.5:0.1,0.2\n\n0.25:1,1.5\n", "p1.plans:3: plan values must lie in [0, 1]"),
+        ],
+    )
+    def test_directory_names_the_file_and_line(self, tmp_path, second, message):
+        (tmp_path / "p0.plans").write_text("0.5:0.5,0.5\n")
+        (tmp_path / "p1.plans").write_text(second)
+        (tmp_path / "p2.plans").write_text("0.5:0.5,0.5,0.5\n")  # would be reported later
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{tmp_path}/{message}')}$"):
+            read_portfolio_dir(tmp_path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_directory_matches_the_line_by_line_reader(self, tmp_path, seed):
+        """Seeded directories with blank lines, lines without ':', numbers
+        that do not parse or lie outside [0, 1], and plans of other lengths:
+        the same portfolios, or the same first error, as a reader that goes
+        line by line."""
+        rng = np.random.default_rng(seed)
+        odd = ["nan", "1.5", "-0.1", "abc", "", " 0.25", "0.5:0.2", "inf", "1e-3"]
+
+        def number():
+            return str(rng.choice(odd)) if rng.random() < 0.04 else str(rng.choice(["0", "0.25", "1"]))
+
+        for case in range(60):
+            directory = tmp_path / str(case)
+            directory.mkdir()
+            for f in range(int(rng.integers(1, 5))):
+                m = int(rng.choice([2, 3, 3, 3]))
+                lines = []
+                for _ in range(int(rng.integers(0, 5))):
+                    r = rng.random()
+                    if r < 0.05:
+                        lines.append("" if r < 0.03 else "0.5 0.1,0.2")
+                        continue
+                    size = m + int(rng.random() < 0.05) - int(rng.random() < 0.05)
+                    lines.append(f"{number()}:{','.join(number() for _ in range(max(size, 1)))}")
+                (directory / f"a{f}.plans").write_text("\n".join(lines) + "\n")
+            labels = [None, ["x"], ["x", "y", "z", "w"]][case % 3]
+            expected = read_plans_reference(sorted(directory.glob("*.plans")), labels)
+            try:
+                loaded = read_portfolio_dir(directory, labels=labels)
+            except InvalidInputError as exc:
+                assert str(exc) == expected
+                continue
+            assert [
+                (p.agent_id, p.values.tolist(), p.costs.tolist(), list(p.labels)) for p in loaded
+            ] == expected
+
+    def test_directory_of_two_plan_lengths(self, tmp_path):
+        (tmp_path / "p0.plans").write_text("0.5:0.5,0.5\n0.5:1,0\n")
+        (tmp_path / "p1.plans").write_text("0.5:0.5,0.5,0.5\n")
+        message = f"{tmp_path / 'p1.plans'}: plans of length 3, but p0.plans has plans of length 2"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            read_portfolio_dir(tmp_path)
+
+    @pytest.mark.parametrize("agent_id", ["grp/p0000", "../x", "..", "a\\b", "p\x00"])
+    def test_ids_that_cannot_name_a_file_are_refused(self, tmp_path, agent_id):
+        portfolios = [
+            PlanPortfolio(name, (Plan(np.zeros(2), 0.0),)) for name in ("p1", agent_id)
+        ]
+        message = f"agent id {agent_id!r} cannot name a .plans file"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            write_portfolio_dir(tmp_path / "plans", portfolios)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -84,6 +84,26 @@ class TestIngest:
         lines = [line for line, _ in report.row_errors]
         assert lines == [3, 4]
 
+    @pytest.mark.parametrize("pid", ["grp/p0000", "../x", "..", ".", "a\\b"])
+    def test_ids_that_cannot_name_a_file_are_rejected(self, tmp_path, pid):
+        # a participant id becomes the name of its .plans file
+        path = tmp_path / "responses.csv"
+        write_rows(
+            path,
+            CANONICAL,
+            [
+                ["p1", "intrinsic", 1, 3, 0],
+                [pid, "intrinsic", 1, 3, 0],
+                [pid, "intrinsic", 2, 4, 0],
+                ["p1", "intrinsic", 2, 4, 0],
+            ],
+        )
+        bundle, report = ingest(path)
+        message = f"participant id {pid!r} cannot name a file"
+        assert report.row_errors == [(3, message), (4, message)]
+        assert report.accepted == 2
+        assert list(bundle.answers["intrinsic"]) == ["p1"]
+
     def test_unmapped_column_is_structural_error(self, tmp_path):
         path = tmp_path / "responses.csv"
         write_rows(path, ["pid", "condition", "scenario_id", "selection"], [])

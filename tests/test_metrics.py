@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_profile
-from datacollective.coordination import CostWeights, coordinate
+from datacollective.coordination import CostWeights, PlanPortfolio, coordinate
 from datacollective.errors import InvalidInputError
 from datacollective.goals import GoalSignal
 from datacollective.metrics import (
@@ -200,6 +200,48 @@ class TestValuations:
         profiles = {pid: random_profile(catalog, rng, pid) for pid in ("p0", "q0")}
         with pytest.raises(InvalidInputError):
             valuation_report(a, b, profiles, RewardModel(), catalog)
+
+
+class TestCoordinatedSnapshot:
+    @staticmethod
+    def portfolios(rng, z=5, m=8):
+        """Agents with 1 to 3 plans, each plan on the level grid of z."""
+        portfolios = []
+        for a in range(5):
+            values = (z - rng.integers(1, z + 1, size=(int(rng.integers(1, 4)), m))) / (z - 1)
+            portfolios.append(PlanPortfolio.from_arrays(
+                f"p{a}", values, values.mean(axis=1), [f"a{a}k{k}" for k in range(len(values))]
+            ))
+        return portfolios
+
+    @pytest.mark.parametrize("z", [3, 5])
+    def test_choices_gather_each_chosen_plan(self, z):
+        rng = np.random.default_rng(z)
+        portfolios = self.portfolios(rng, z)
+        choices = [[int(rng.integers(len(p.labels))) for p in portfolios] for _ in range(3)]
+        snap = ConditionSnapshot.from_choices("coordinated", portfolios, choices, z)
+        for r, chosen in enumerate(choices):
+            for a, (portfolio, k) in enumerate(zip(portfolios, chosen)):
+                plan = portfolio.plans[k]
+                levels = np.rint(z - plan.values * (z - 1)).astype(np.intp)
+                assert snap.selections[r, a].tolist() == np.clip(levels, 1, z).tolist()
+                assert snap.plan_labels[r, a] == plan.label
+
+    @pytest.mark.parametrize(
+        "choices, r",
+        [
+            ([[0, 0, 0, 0, 0], [0, 0, 0, 0]], 1),
+            ([[0, 0, 0, 0, 0], [0, 3, 0, 0, 0]], 1),
+            ([[0, -1, 0, 0, 0]], 0),
+            ([[0, 10**20, 0, 0, 0], [0, 0, 0, 0]], 0),
+        ],
+    )
+    def test_choices_that_do_not_fit_name_the_repetition(self, choices, r):
+        portfolios = self.portfolios(np.random.default_rng(1))
+        portfolios[1] = PlanPortfolio.from_arrays("p1", np.zeros((3, 8)), np.zeros(3))
+        message = f"repetition {r}: plan choices do not fit the 5 portfolios"
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            ConditionSnapshot.from_choices("coordinated", portfolios, choices)
 
 
 class TestPrivacyRecovery:

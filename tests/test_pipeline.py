@@ -151,6 +151,29 @@ class TestRunPipeline:
                 sim_eval["mean_privacy"][condition], abs=1e-12
             )
 
+    @pytest.mark.parametrize("bad_id", ["grp/p0003", "../p0003"])
+    def test_dataset_ids_that_cannot_name_a_file_are_rejected(self, tmp_path, bad_id):
+        out_sim = run_pipeline(small_config(tmp_path / "sim"))
+        responses = tmp_path / "responses.csv"
+        responses.write_text(
+            (out_sim / "selections.csv").read_text().replace("\np0003,", f"\n{bad_id},")
+        )
+        out = run_pipeline(small_config(
+            tmp_path / "ingested",
+            responses_path=str(responses),
+            profiles_path=str(out_sim / "profiles.csv"),
+        ))
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["rejected"] == 3 * 64
+        assert {message for _, message in report["row_errors"]} == {
+            f"participant id {bad_id!r} cannot name a file"
+        }
+        groups = json.loads((out_sim / "groups.json").read_text())
+        assert sorted(p.name for p in (out / "portfolios").iterdir()) == sorted(
+            f"{pid}.plans" for pid in set(groups) - {"p0003"}
+        )
+        assert not (out / "p0003.plans").exists()
+
     def test_dataset_pipeline_reports_dropped_participant(self, tmp_path):
         out_sim = run_pipeline(small_config(tmp_path / "sim"))
         lines = (out_sim / "selections.csv").read_text().splitlines(keepends=True)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,27 @@ class TestWeights:
             WeightProfile(
                 "bad", np.array([0.5, 0.5, 0.5]), tuple(np.full(4, 0.25) for _ in range(3))
             )
+
+    @pytest.mark.parametrize(
+        "crit, elems, message",
+        [
+            ([0.5, 0.5], [[1.0]], "criterion/element weight shapes disagree"),
+            ([[0.5, 0.5]], [[1.0]], "criterion/element weight shapes disagree"),
+            ([0.5, 0.5], [[1.0], [np.nan]], "criterion and element weights must be finite"),
+            ([np.inf, 0.5], [[1.0], [1.0]], "criterion and element weights must be finite"),
+            ([1.5, -0.5], [[1.0], [1.0]], "criterion weights must lie in [0, 1]"),
+            ([0.5, 0.6], [[1.0], [1.0]], "criterion weights must sum to 1"),
+            # criterion 2's elements break both rules; criterion 1's only the sum
+            ([0.5, 0.5], [[1.0], [1.5, -0.5]], "element weights of criterion 2 out of [0, 1]"),
+            ([0.5, 0.5], [[1.0], [0.5, 0.6]], "element weights of criterion 2 must sum to 1"),
+            ([0.5, 0.5], [[0.6], [1.5, -0.5]], "element weights of criterion 1 must sum to 1"),
+            ([0.5, 0.5], [[1.2, -0.3], [0.5, 0.6]], "element weights of criterion 1 out of [0, 1]"),
+            ([0.5, 0.5], [[1.0], []], "element weights of criterion 2 must sum to 1"),
+        ],
+    )
+    def test_invalid_profile_messages(self, crit, elems, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            WeightProfile("bad", np.array(crit), tuple(np.array(e) for e in elems))
 
     def test_likert_mapping(self):
         profile = WeightProfile.from_likert(
