@@ -11,6 +11,7 @@ loads a full configuration and flag overrides win.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -57,7 +58,10 @@ def main(argv=None) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every subcommand, built on first use; parsing
+    leaves it as it was, so each call of ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="datacollective",
         description="Simulate, coordinate and evaluate collective data sharing.",

@@ -5,6 +5,8 @@ mapping config: which source column holds the participant id, condition,
 scenario id, selection and (optionally) timestamp, plus how condition values
 translate to the canonical labels. One pass over the rows files each
 accepted row into answers grouped by condition, participant and scenario id.
+A file whose every row would be accepted as a new key is read in blocks
+instead; the row loop reads every other file, and words every rejection.
 Rows that fail validation are reported with their line numbers and counted,
 never silently dropped; duplicate (participant, condition, scenario) rows
 resolve to the latest timestamp, so every row counts once as accepted (a new
@@ -118,8 +120,9 @@ class DatasetBundle:
             if len(answers) != m:
                 incomplete.append(pid)
                 continue
+            # m answers, none above m and none below 1: the keys are 1..m
             vectors[pid] = SelectionVector(
-                np.array([answers[j] for j in range(1, m + 1)]), z
+                np.fromiter(map(answers.__getitem__, range(1, m + 1)), np.intp, m), z
             )
         if report is not None:
             report.drop(condition, "incomplete", incomplete)
@@ -191,12 +194,33 @@ def ingest(
 
     Each accepted row is filed straight into the bundle's grouped answers;
     the scenario ids a row may name run up to ``catalog.m`` when a catalog
-    is given, and are checked against m later otherwise."""
+    is given, and are checked against m later otherwise. A file that every
+    row passes is read in blocks; any other file is read by the row loop,
+    which words each rejection."""
     mapping = {**DEFAULT_MAPPING, **(mapping or {})}
+    m_limit = catalog.m if catalog is not None else math.inf
+    read = _ingest_blocks(responses_path, mapping, m_limit, z)
+    answers, report = read or _ingest_rows(responses_path, mapping, m_limit, z)
+
+    profiles: dict[str, WeightProfile] = {}
+    if profiles_path is not None:
+        if catalog is None:
+            raise IngestError("profiles ingestion requires a catalog")
+        profiles = {
+            p.participant_id: p for p in read_weight_profiles(profiles_path, catalog)
+        }
+
+    return DatasetBundle(answers=answers, profiles=profiles, provenance=provenance), report
+
+
+def _ingest_rows(
+    responses_path: str | Path, mapping: Mapping, m_limit: float, z: int
+) -> tuple[dict[str, dict[str, dict[int, int]]], IngestReport]:
+    """The grouped answers and the report of one pass of ``csv.reader`` over
+    the file; the only reader that words a rejected row or a malformed file."""
     condition_values = mapping.get("condition_values") or {}
     report = IngestReport()
     row_errors = report.row_errors
-    m_limit = catalog.m if catalog is not None else math.inf
 
     answers: dict[str, dict[str, dict[int, int]]] = {}
     # the timestamp of each kept answer, by (condition, participant id)
@@ -252,6 +276,8 @@ def ingest(
                     raw = row[ts_pos]
                     try:
                         timestamp = float(raw)
+                        if not math.isfinite(timestamp):
+                            raise ValueError  # a NaN stamp would never be replaced
                     except ValueError:
                         if raw.strip():
                             row_errors.append((lineno, f"unparseable timestamp '{raw}'"))
@@ -283,16 +309,131 @@ def ingest(
 
     if total == 0:
         report.warnings.append(f"{responses_path}: no data rows")
+    return answers, report
 
-    profiles: dict[str, WeightProfile] = {}
-    if profiles_path is not None:
-        if catalog is None:
-            raise IngestError("profiles ingestion requires a catalog")
-        profiles = {
-            p.participant_id: p for p in read_weight_profiles(profiles_path, catalog)
-        }
 
-    return DatasetBundle(answers=answers, profiles=profiles, provenance=provenance), report
+# characters the bulk reader reads at a time, before extending to a line end
+BLOCK_CHARS = 1 << 16
+
+
+def _ingest_blocks(
+    responses_path: str | Path, mapping: Mapping, m_limit: float, z: int
+) -> tuple[dict[str, dict[str, dict[int, int]]], IngestReport] | None:
+    """What ``_ingest_rows`` returns for a file whose every row it accepts as
+    a new key, read in blocks of lines; ``None`` for any other file, or one
+    ``csv.reader`` might split differently, so the row loop reads it.
+
+    Each block is split at line ends and commas in one go. Each distinct
+    field text is converted once, by the loop's own ``int`` and ``float``,
+    and each run of rows of one (participant, condition) pair fills its
+    answers with one ``dict.update``; a run may continue into the next block."""
+    condition_values = mapping.get("condition_values") or {}
+    limit = csv.field_size_limit()
+    scenario_ids: dict[str, int] = {}
+    levels: dict[str, int] = {}
+    stamps: dict[str, float] = {}
+    answers: dict[str, dict[str, dict[int, int]]] = {}
+    last, chosen, total = None, {}, 0
+    with open_text(responses_path) as fh:
+        try:
+            header = _plain_lines(fh.readline(), limit)
+            if not header:
+                return None
+            header = header.split(",")
+            if any(mapping[key] not in header for key in REQUIRED_COLUMNS):
+                return None
+            pid_pos, condition_pos, scenario_pos, selection_pos = (
+                header.index(mapping[key]) for key in REQUIRED_COLUMNS
+            )
+            ts_column = mapping.get("timestamp")
+            ts_pos = header.index(ts_column) if ts_column in header else None
+            width = len(header) + 1  # a line's fields and its end
+            while block := fh.read(BLOCK_CHARS):
+                lines = _plain_lines(block + fh.readline(), limit)
+                if lines is None:
+                    return None
+                if not lines:
+                    continue
+                n = lines.count("\n") + 1
+                fields = lines.replace("\n", ",\n,").split(",")
+                # a line end after every len(header) fields, and nowhere else
+                if len(fields) != n * width - 1 or fields[width - 1::width].count("\n") != n - 1:
+                    return None
+                scenarios, selections = fields[scenario_pos::width], fields[selection_pos::width]
+                if not (
+                    _convert_new(scenarios, scenario_ids, int, 1, m_limit)
+                    and _convert_new(selections, levels, int, 1, z)
+                    and (ts_pos is None or _convert_new(
+                        fields[ts_pos::width], stamps, _timestamp, -sys.float_info.max,
+                        sys.float_info.max,
+                    ))
+                ):
+                    return None
+                scenarios = list(map(scenario_ids.__getitem__, scenarios))
+                selections = list(map(levels.__getitem__, selections))
+                pids, conditions = fields[pid_pos::width], fields[condition_pos::width]
+                p, c = np.array(pids, dtype=object), np.array(conditions, dtype=object)
+                starts = np.flatnonzero((p[1:] != p[:-1]) | (c[1:] != c[:-1])) + 1
+                bounds = [0, *starts.tolist(), n]
+                for a, b in zip(bounds, bounds[1:]):
+                    if (pids[a], conditions[a]) != last:
+                        pid, raw_condition = last = pids[a], conditions[a]
+                        if (pid != pid.strip() or raw_condition != raw_condition.strip()
+                                or not is_file_stem(pid)):
+                            return None
+                        by_pid = answers.setdefault(
+                            condition_values.get(raw_condition, raw_condition), {}
+                        )
+                        if pid in by_pid:  # the pair seen before: the loop merges
+                            return None
+                        chosen = by_pid[pid] = {}
+                    size = len(chosen)
+                    chosen.update(zip(scenarios[a:b], selections[a:b]))
+                    if len(chosen) != size + b - a:  # a duplicate scenario id
+                        return None
+                total += n
+        except UnicodeDecodeError:
+            return None  # the row loop names the line, or meets an earlier error
+    if total == 0:
+        return None
+    return answers, IngestReport(total_rows=total, accepted=total)
+
+
+def _plain_lines(text: str, limit: int) -> str | None:
+    """The non-blank lines of ``text``, joined by LF, when ``csv.reader``
+    would split each line at every comma and at nothing else: no quote, NUL,
+    CR outside CRLF, or line of ``limit`` characters (a field might be too
+    large); ``None`` otherwise."""
+    if '"' in text or "\x00" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if len(text) >= limit and max(map(len, text.split("\n"))) >= limit:
+        return None
+    if "\n\n" in text or text.startswith("\n"):
+        return "\n".join(filter(None, text.split("\n")))
+    return text.removesuffix("\n")
+
+
+def _convert_new(texts: list[str], table: dict, convert, low: float, high: float) -> bool:
+    """Add to ``table`` the value ``convert`` gives each text new to it;
+    false if one raises ``ValueError`` or falls outside low..high (as NaN does)."""
+    for text in set(texts).difference(table):
+        try:
+            value = convert(text)
+        except ValueError:
+            return False
+        if not low <= value <= high:
+            return False
+        table[text] = value
+    return True
+
+
+def _timestamp(text: str) -> float:
+    """A timestamp field as the row loop reads it: blank is 0."""
+    return float(text) if text.strip() else 0.0
 
 
 def export_responses(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import datacollective
-from datacollective.cli import main
+from datacollective.cli import build_parser, main
 from datacollective.errors import open_text, read_text
 from datacollective.pipeline import ExperimentConfig, run_pipeline
 from datacollective.population import population_from_spec
@@ -405,6 +405,26 @@ def small_coordination(small_run, tmp_path_factory):
         "--iterations", "2", "--repetitions", "1", "--out", str(out),
     ]) == 0
     return out
+
+
+def test_one_parser_serves_every_call(small_run, small_coordination, tmp_path):
+    """``main`` builds its parser once; ``goals`` and then ``coordinate`` in
+    one process each parse their own flags with it, and neither leaves an
+    option behind for the next call."""
+    assert build_parser() is build_parser()
+    goals = tmp_path / "goals"
+    assert main(["goals", "--selections", str(small_run / "selections.csv"),
+                 "--out", str(goals)]) == 0
+    coordinate = [
+        "coordinate", "--plans-dir", str(small_run / "portfolios"),
+        "--goal-file", str(goals / "goal_very_high.csv"),
+        "--iterations", "2", "--repetitions", "1", "--out", str(tmp_path / "coord"),
+    ]
+    assert main(coordinate) == 0
+    assert (tmp_path / "coord" / "coordination_runs.json").read_bytes() == (
+        small_coordination / "coordination_runs.json"
+    ).read_bytes()
+    assert "selections" not in vars(build_parser().parse_args(coordinate))
 
 
 def _evaluate_small(small_run, small_coordination, tmp_path, selections, plans):
