@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -234,6 +235,8 @@ def read_response_csv(path: str | Path, m: int | None = None) -> np.ndarray:
                 j, value = int(row[0]), float(row[1])
             except ValueError:
                 raise InvalidInputError(f"{path}:{lineno}: not a number in {row}") from None
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{path}:{lineno}: not a finite number in {row}")
             if j in values:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate scenario id {j}")
             values[j] = value

@@ -37,6 +37,7 @@ state fills the remaining rows.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -131,15 +132,14 @@ class PlanPortfolio:
             raise InvalidInputError(VALUES_OUT_OF_RANGE)
         if not _in_unit(costs).all():
             raise InvalidInputError(COST_OUT_OF_RANGE)
-        portfolio = cls.__new__(cls)
-        portfolio._set(agent_id, values, costs, labels)
-        return portfolio
+        return cls.__new__(cls)._set(agent_id, values, costs, labels)
 
-    def _set(self, agent_id, values, costs, labels) -> None:
+    def _set(self, agent_id, values, costs, labels) -> "PlanPortfolio":
         values.flags.writeable = costs.flags.writeable = False
         for name, value in zip(("agent_id", "values", "costs", "labels"),
                                (agent_id, values, costs, labels)):
             object.__setattr__(self, name, value)
+        return self
 
     @property
     def plan_length(self) -> int:
@@ -147,11 +147,14 @@ class PlanPortfolio:
 
     @cached_property
     def plans(self) -> tuple[Plan, ...]:
-        """The plans as ``Plan`` rows, whose values are views of ``values``."""
-        return tuple(
-            Plan(values, float(cost), label)
-            for values, cost, label in zip(self.values, self.costs, self.labels)
-        )
+        """The plans as ``Plan`` rows, whose values are views of ``values``;
+        the portfolio's checks stand for ``Plan``'s, which are not run again."""
+        plans = []
+        for values, cost, label in zip(self.values, self.costs.tolist(), self.labels):
+            plan = Plan.__new__(Plan)
+            plan.__dict__.update(values=values, local_cost=cost, label=label)
+            plans.append(plan)
+        return tuple(plans)
 
 
 @dataclass(frozen=True)
@@ -314,23 +317,25 @@ def _optimize(
     order = np.stack([t.order for t in topologies])  # (R, n) agent per position
     R = order.shape[0]
     goal_std = standardize(goal.values)
-    # Per agent, K plan slots; an agent with fewer plans gets padded slots
-    # that cost +inf, with count 1 so their mean stays finite.
+    # Per agent, K plan slots, each its m values followed by its cost
+    # statistics (count, sum, sum of squares); an agent with fewer plans gets
+    # padded slots that cost +inf, with count 1 so their mean stays finite.
     counts = np.array([len(p.costs) for p in portfolios])
     K = counts.max()
     padded = np.arange(K) >= counts[:, None]
-    values = np.zeros((n, K, m))
-    values[~padded] = np.concatenate([p.values for p in portfolios])
-    plan_stats = np.tile([1.0, 0.0, 0.0], (n, K, 1))
+    ragged = bool(padded.any())
+    plans = np.zeros((n, K, m + 3))
+    plans[..., m] = 1.0
+    plans[~padded, :m] = np.concatenate([p.values for p in portfolios])
     costs = np.concatenate([p.costs for p in portfolios])
-    plan_stats[~padded, 1:] = np.column_stack([costs, costs**2])
+    plans[~padded, m + 1:] = np.column_stack([costs, costs**2])
     levels = topologies[0].levels()
     parent = (np.arange(n) - 1) // c
 
     sel = np.zeros((R, n), dtype=np.intp)  # by tree position
-    agg = np.zeros((R, n, m))              # resolved subtree aggregates
-    stats = np.zeros((R, n, 3))
-    agg_new, stats_new = np.empty_like(agg), np.empty_like(stats)
+    # resolved subtree aggregates, each followed by its cost statistics
+    agg = np.zeros((R, n, m + 3))
+    agg_new = np.empty_like(agg)
     cand = np.empty((R, n), dtype=np.intp)
     keep = np.empty((R, n), dtype=bool)
     cost_prev = np.full(R, np.inf)
@@ -348,22 +353,20 @@ def _optimize(
         # next depth's (c*l + j)-th; summing j in order matches the
         # one-position-at-a-time sum.
         for s, e in reversed(levels):
-            child_agg = np.zeros((live.size, e - s, m))
-            child_stats = np.zeros((live.size, e - s, 3))
+            child = np.zeros((live.size, e - s, m + 3))
             for j in range(c):
                 kids = slice(e + j, min(c * e + 1, n), c)
                 k = len(range(n)[kids])  # children with offset j
-                child_agg[:, :k] += agg_new[:, kids]
-                child_stats[:, :k] += stats_new[:, kids]
+                child[:, :k] += agg_new[:, kids]
             # The previous global response is the root's resolved aggregate.
-            base = agg[:, :1] - agg[:, s:e] + child_agg
-            base_stats = stats[:, :1] - stats[:, s:e] + child_stats
+            base = agg[:, :1] - agg[:, s:e] + child
             agents = order[:, s:e]
-            # In place, to keep few (R, L, K, m) temporaries alive at once.
-            x = values[agents]
+            # In place, to keep few (R, L, K, m + 3) temporaries alive at once.
+            x = plans[agents]
             x += base[:, :, None]
-            costs = _cost(x, goal_std, base_stats[:, :, None] + plan_stats[agents], weights)
-            costs[padded[agents]] = np.inf
+            costs = _cost(x[..., :m], goal_std, x[..., m:], weights)
+            if ragged:
+                costs[padded[agents]] = np.inf
             best = np.argmin(costs, axis=-1)
             best_cost = costs.min(axis=-1)
             # Reverting the whole subtree to its previous configuration
@@ -373,10 +376,7 @@ def _optimize(
             cand[:, s:e] = best
             keep[:, s:e] = accepted
             agg_new[:, s:e] = np.where(
-                accepted[..., None], child_agg + values[agents, best], agg[:, s:e]
-            )
-            stats_new[:, s:e] = np.where(
-                accepted[..., None], child_stats + plan_stats[agents, best], stats[:, s:e]
+                accepted[..., None], child + plans[agents, best], agg[:, s:e]
             )
 
         # Top-down: the root's choice is exact; an ancestor's revert discards
@@ -387,16 +387,14 @@ def _optimize(
         # The kept positions' new state against the old, per repetition.
         moved = (keep & (cand != sel)).any(1) | (keep[:, 0] & (best_cost[:, 0] != cost_prev))
         moved |= (keep[..., None] & (agg_new != agg)).any((1, 2))
-        moved |= (keep[..., None] & (stats_new != stats)).any((1, 2))
         np.copyto(sel, cand, where=keep)
         np.copyto(agg, agg_new, where=keep[..., None])
-        np.copyto(stats, stats_new, where=keep[..., None])
         # At the root the candidate cost is the realized cost, bit for bit:
         # its context is the previous global response minus itself, i.e. zero.
         cost_prev = np.where(keep[:, 0], best_cost[:, 0], cost_prev)
 
         selections[live, it] = sel
-        responses[live, it] = agg[:, 0]
+        responses[live, it] = agg[:, 0, :m]
         trace[live, it] = cost_prev
 
         # A fixed point (see the module docstring): later iterations repeat
@@ -407,8 +405,8 @@ def _optimize(
             live = live[moved]
             if not live.size:
                 break
-            sel, agg, stats, agg_new, stats_new, cand, keep, cost_prev, order = (
-                x[moved] for x in (sel, agg, stats, agg_new, stats_new, cand, keep, cost_prev, order)
+            sel, agg, agg_new, cand, keep, cost_prev, order = (
+                x[moved] for x in (sel, agg, agg_new, cand, keep, cost_prev, order)
             )
 
     # A stopped repetition repeats its final state to full length; selections
@@ -502,107 +500,107 @@ def _portfolio_texts(portfolios: Sequence[PlanPortfolio]):
 def read_portfolio_dir(
     directory: str | Path, labels: Sequence[str] | None = None
 ) -> list[PlanPortfolio]:
-    paths = sorted(Path(directory).glob("*.plans"))
-    if not paths:
+    try:
+        names = sorted(name for name in os.listdir(Path(directory)) if name.endswith(".plans"))
+    except OSError:  # a missing directory, or a file
+        names = []
+    if not names:
         raise InvalidInputError(f"no .plans files under {directory}")
-    return _read_plan_files(paths, [p.stem for p in paths], labels)
+    # plain strings, and each name's Path(name).stem: a Path per file costs more
+    paths = [os.path.join(directory, name) for name in names]
+    return _read_plan_files(paths, [name[:-6] or name for name in names], labels)
 
 
 def _read_plan_files(
-    paths: Sequence[Path], agent_ids: Sequence[str], labels: Sequence[str] | None
+    paths: Sequence[str | Path], agent_ids: Sequence[str], labels: Sequence[str] | None
 ) -> list[PlanPortfolio]:
-    """Each file's portfolio, with the plan lines of all files parsed into one
-    (plans, m) array whose rows each portfolio views.
+    """Each file's portfolio, viewing its rows of one (plans, m) table of all
+    the files' plans. Files that any rule rejects are read again, line by
+    line, which raises the first error."""
+    table = _plan_table(paths)
+    values, costs, counts = table or _plan_table_by_line(list(map(Path, paths)), agent_ids)
+    plan_labels = tuple(
+        labels[j] if labels is not None and j < len(labels) else f"plan{j + 1}"
+        for j in range(max(counts))
+    )
+    ends = np.cumsum(counts)[:-1]
+    return [
+        PlanPortfolio.__new__(PlanPortfolio)._set(agent_id, v, c, plan_labels[:len(c)])
+        for agent_id, v, c in zip(agent_ids, np.split(values, ends), np.split(costs, ends))
+    ]
 
-    The error raised is the one a line-by-line reader meets first: in file
-    order, then line order, then per line a missing ':', a value or cost that
-    is not a number, a value out of range, a cost out of range and a length
-    unlike the file's first plan; a file without plans after its last line;
-    and, once every file has been read, a plan length unlike the first file's.
-    """
-    lines, late = _plan_lines(paths, agent_ids)
+
+def _plan_table(paths: Sequence[str | Path]):
+    """All files' plans as a (plans, m) value table, their costs and each
+    file's plan count, converting each distinct number text once; ``None``
+    for files that cannot be read as UTF-8 or break any rule of
+    ``_plan_table_by_line``."""
+    texts = []
     try:
-        numbers, costs = _plan_numbers(lines)
+        for path in paths:
+            with open(path, "rb") as fh:
+                texts.append(fh.read().decode("utf-8"))
+    except (OSError, UnicodeDecodeError):
+        return None
+    files = [[line for line in map(str.strip, text.splitlines()) if line] for text in texts]
+    if not all(files):
+        return None
+    lines = [line for plans in files for line in plans]
+    # a line without ':' leaves an empty values text, which no float parses
+    costs, _, values = zip(*(line.partition(":") for line in lines))
+    if len({v.count(",") for v in values}) != 1:
+        return None
+    texts = ",".join(values).split(",")
+    try:
+        table = {text: float(text) for text in {*texts, *costs}}
     except ValueError:
-        # No line past the first one that does not parse is ever reached.
-        for i, (f, lineno, cost, values) in enumerate(lines):
-            try:
-                [float(v) for v in values.split(",")], float(cost)
-            except ValueError as exc:
-                late = f"{paths[f]}:{lineno}: {exc}"
-                del lines[i:]
-                break
-        numbers, costs = _plan_numbers(lines)
-
-    files = np.array([line[0] for line in lines], dtype=np.intp)
-    lengths = np.array([line[3].count(",") + 1 for line in lines], dtype=np.intp)
-    firsts = np.searchsorted(files, np.arange(len(paths)))  # each file's first line
-    first_length = lengths[firsts[files]]
-    bad_values = np.zeros(len(lines), dtype=bool)
-    bad_values[np.repeat(np.arange(len(lines)), lengths)[~_in_unit(numbers)]] = True
-    bad_costs = ~_in_unit(costs)
-    broken = np.flatnonzero(bad_values | bad_costs | (lengths != first_length))
-    if broken.size:
-        i = broken[0]
-        f, lineno = lines[i][:2]
-        if bad_values[i] or bad_costs[i]:
-            message = VALUES_OUT_OF_RANGE if bad_values[i] else COST_OUT_OF_RANGE
-        else:
-            message = f"plan of length {lengths[i]}, but the first plan has length {first_length[i]}"
-        raise InvalidInputError(f"{paths[f]}:{lineno}: {message}")
-    if late is not None:
-        raise InvalidInputError(late)
-    file_lengths = lengths[firsts]
-    for path, length in zip(paths, file_lengths):
-        if length != file_lengths[0]:
-            raise InvalidInputError(
-                f"{path}: plans of length {length}, "
-                f"but {paths[0].name} has plans of length {file_lengths[0]}"
-            )
-
-    values = numbers.reshape(len(lines), -1)
-    bounds = np.append(firsts, len(lines)).tolist()
-    portfolios = []
-    for f, agent_id in enumerate(agent_ids):
-        k = bounds[f + 1] - bounds[f]
-        plan_labels = tuple(
-            labels[j] if labels is not None and j < len(labels) else f"plan{j + 1}"
-            for j in range(k)
-        )
-        portfolio = PlanPortfolio.__new__(PlanPortfolio)
-        portfolio._set(agent_id, values[bounds[f]:bounds[f + 1]],
-                       costs[bounds[f]:bounds[f + 1]], plan_labels)
-        portfolios.append(portfolio)
-    return portfolios
+        return None
+    numbers = np.fromiter(map(table.__getitem__, texts), float, len(texts))
+    costs = np.fromiter(map(table.__getitem__, costs), float, len(costs))
+    if not (_in_unit(numbers).all() and _in_unit(costs).all()):
+        return None
+    return numbers.reshape(len(lines), -1), costs, list(map(len, files))
 
 
-def _plan_lines(paths: Sequence[Path], agent_ids: Sequence[str]):
-    """Every plan line as (file index, line number, cost text, values text),
-    up to the first line without ':' or file without plans, and that error
-    (None if there is none)."""
-    lines = []
-    for f, path in enumerate(paths):
-        first = len(lines)
+def _plan_table_by_line(paths: Sequence[Path], agent_ids: Sequence[str]):
+    """``_plan_table`` read one line at a time, raising the first error met:
+    in file order, then line order, per line a missing ':', a value or cost
+    that is not a number, a value out of range, a cost out of range and a
+    length unlike the file's first plan; a file without plans after its last
+    line; and, once every file has been read, a plan length unlike the first
+    file's."""
+    files = []
+    for path, agent_id in zip(paths, agent_ids):
+        plans = []
         for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
             line = raw.strip()
-            if line:
-                cost, colon, values = line.partition(":")
-                if not colon:
-                    return lines, f"{path}:{lineno}: expected 'cost:v1,v2,...'"
-                lines.append((f, lineno, cost, values))
-        if len(lines) == first:
-            return lines, f"{path}: agent '{agent_ids[f]}' has no plans"
-    return lines, None
-
-
-def _plan_numbers(lines) -> tuple[np.ndarray, np.ndarray]:
-    """All plan values, line after line, and the costs, each converted in
-    one pass; a text that is not a number raises ``ValueError``."""
-    values = ",".join([line[3] for line in lines]).split(",") if lines else []
-    return (
-        np.fromiter(map(float, values), dtype=float, count=len(values)),
-        np.fromiter(map(float, [line[2] for line in lines]), dtype=float, count=len(lines)),
-    )
+            if not line:
+                continue
+            cost, colon, values = line.partition(":")
+            if not colon:
+                raise InvalidInputError(f"{path}:{lineno}: expected 'cost:v1,v2,...'")
+            try:
+                plan = Plan([float(v) for v in values.split(",")], float(cost))
+            except ValueError as exc:  # not a number, or out of range
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+            if plans and plan.values.size != plans[0].values.size:
+                raise InvalidInputError(
+                    f"{path}:{lineno}: plan of length {plan.values.size}, "
+                    f"but the first plan has length {plans[0].values.size}"
+                )
+            plans.append(plan)
+        if not plans:
+            raise InvalidInputError(f"{path}: agent '{agent_id}' has no plans")
+        files.append(plans)
+    for path, plans in zip(paths, files):
+        if plans[0].values.size != files[0][0].values.size:
+            raise InvalidInputError(
+                f"{path}: plans of length {plans[0].values.size}, "
+                f"but {paths[0].name} has plans of length {files[0][0].values.size}"
+            )
+    plans = [plan for plans in files for plan in plans]
+    return (np.array([p.values for p in plans]), np.array([p.local_cost for p in plans]),
+            list(map(len, files)))
 
 
 def run_to_dict(run: CoordinationRun) -> dict:

@@ -21,6 +21,9 @@ from .sharing import SelectionVector
 
 LEVEL_NAMES = ("very_low", "low", "medium", "high", "very_high")
 
+GOAL_NOT_A_VECTOR = "goal signal must be a non-empty vector"
+GOAL_OUT_OF_RANGE = "goal signal values must lie in [0, 1]"
+
 
 def level_name(level: int, z: int = 5) -> str:
     """Preservation label for a sharing level (1 = very low preservation)."""
@@ -40,10 +43,10 @@ class GoalSignal:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
-            raise InvalidInputError("goal signal must be a non-empty vector")
+            raise InvalidInputError(GOAL_NOT_A_VECTOR)
         # Written so that NaN fails the test too.
         if not np.all((vals >= 0) & (vals <= 1)):
-            raise InvalidInputError("goal signal values must lie in [0, 1]")
+            raise InvalidInputError(GOAL_OUT_OF_RANGE)
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,13 @@ def read_goal_signal(
                 raise InvalidInputError(f"{path}:{lineno}: not a number in {row}") from None
             if scenario_id != len(values) + 1:
                 raise InvalidInputError(f"{path}:{lineno}: scenario ids must be 1..m in order")
+            if not 0 <= value <= 1:  # NaN fails too
+                raise InvalidInputError(f"{path}:{lineno}: {GOAL_OUT_OF_RANGE}")
             values.append(value)
     if expected_length is not None and len(values) != expected_length:
         raise InvalidInputError(
             f"{path}: expected {expected_length} scenarios, found {len(values)}"
         )
+    if not values:
+        raise InvalidInputError(f"{path}: {GOAL_NOT_A_VECTOR}")
     return GoalSignal(level=level, values=np.array(values))

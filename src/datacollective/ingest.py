@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -107,22 +108,29 @@ class DatasetBundle:
         recorded as ``incomplete`` in ``report`` if one is given. A scenario
         id above m raises, since the archive and the catalog then disagree."""
         by_participant = self.answers.get(condition, {})
-        vectors, incomplete = {}, []
+        complete, incomplete, outside = [], [], None
         for pid in sorted(by_participant):
             answers = by_participant[pid]
             # ids below 1 never get past ingest
             if max(answers) > m:
-                outside = sorted(j for j in answers if j > m)
-                raise InvalidInputError(
-                    f"{self.provenance or 'dataset'}: participant '{pid}' answers "
-                    f"scenario ids {outside} outside 1..{m} in condition '{condition}'"
-                )
-            if len(answers) != m:
-                incomplete.append(pid)
-                continue
-            # m answers, none above m and none below 1: the keys are 1..m
-            vectors[pid] = SelectionVector(
-                np.fromiter(map(answers.__getitem__, range(1, m + 1)), np.intp, m), z
+                outside = pid
+                break
+            (complete if len(answers) == m else incomplete).append(pid)
+        # m answers, none above m and none below 1: the keys are 1..m
+        scenarios = range(1, m + 1)
+        block = np.fromiter(
+            chain.from_iterable(
+                map(by_participant[pid].__getitem__, scenarios) for pid in complete
+            ),
+            np.intp, len(complete) * m,
+        ).reshape(len(complete), m)
+        # a row before ``outside`` that breaks a rule raises first
+        vectors = dict(zip(complete, SelectionVector.rows(block, z)))
+        if outside is not None:
+            raise InvalidInputError(
+                f"{self.provenance or 'dataset'}: participant '{outside}' answers "
+                f"scenario ids {sorted(j for j in answers if j > m)} outside 1..{m} "
+                f"in condition '{condition}'"
             )
         if report is not None:
             report.drop(condition, "incomplete", incomplete)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -246,10 +246,37 @@ def collection_cost(
     ``include_intrinsic_value`` off, choices of the unrewarded plan cost
     nothing (that data was volunteered).
     """
-    if snapshot.z != reward_model.z:
-        raise InvalidInputError("snapshot and reward model disagree on levels")
-    rmax = _reward_table(snapshot, profiles, reward_model, catalog)
+    (rmax,) = reward_tables([snapshot], profiles, reward_model, catalog)
+    return cost_report(snapshot, rmax, reward_model, include_intrinsic_value, label)
 
+
+def reward_tables(
+    snapshots: Sequence[ConditionSnapshot],
+    profiles: Mapping[str, WeightProfile],
+    reward_model: RewardModel,
+    catalog: ScenarioCatalog,
+) -> Iterator[np.ndarray]:
+    """Each snapshot's (participants, m) rmax table in turn, checked as
+    ``collection_cost`` checks it when it is taken. Only the participants no
+    earlier snapshot covers go into a ``reward_table`` call; the others take
+    their earlier rows, which equal their own tables bit for bit (see
+    ``sharing.reward_table``)."""
+    rows: dict[str, np.ndarray] = {}
+    for snapshot in snapshots:
+        if snapshot.z != reward_model.z:
+            raise InvalidInputError("snapshot and reward model disagree on levels")
+        yield _reward_table(snapshot, profiles, reward_model, catalog, rows)
+
+
+def cost_report(
+    snapshot: ConditionSnapshot,
+    rmax: np.ndarray,
+    reward_model: RewardModel,
+    include_intrinsic_value: bool = True,
+    label: str | None = None,
+) -> CostReport:
+    """``collection_cost`` of a snapshot whose rmax table is given (one row
+    per participant, as ``reward_tables`` gives it)."""
     reps = snapshot.selections.shape[0]
     totals = np.zeros(reps)
     for r in range(reps):
@@ -362,15 +389,20 @@ def _reward_table(
     profiles: Mapping[str, WeightProfile],
     reward_model: RewardModel,
     catalog: ScenarioCatalog,
+    rows: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The (participants, m) rmax table in the snapshot's participant order."""
+    """The (participants, m) rmax table in the snapshot's participant order.
+    Participants with a row in ``rows`` take it; the others' rows come from
+    one ``reward_table`` call and are added to ``rows``."""
     _check_catalog(snapshot, catalog)
-    missing = [pid for pid in snapshot.participant_ids if pid not in profiles]
+    rows = {} if rows is None else rows
+    new = [pid for pid in dict.fromkeys(snapshot.participant_ids) if pid not in rows]
+    missing = [pid for pid in new if pid not in profiles]
     if missing:
         raise InvalidInputError(f"no weight profile for participant '{missing[0]}'")
-    return reward_model.reward_table(
-        [profiles[pid] for pid in snapshot.participant_ids], catalog
-    )
+    if new:
+        rows.update(zip(new, reward_model.reward_table([profiles[pid] for pid in new], catalog)))
+    return np.array([rows[pid] for pid in snapshot.participant_ids])
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,10 @@ from .goals import build_goal_signals, level_name, mismatch, write_goal_signal
 from .ingest import export_responses, ingest, load_mapping
 from .metrics import (
     ConditionSnapshot,
-    collection_cost,
+    cost_report,
     privacy_recovery,
     reinforcement_report,
+    reward_tables,
     scenario_privacy,
     write_cost_csv,
     write_mismatch_csv,
@@ -375,12 +376,14 @@ def metrics_stage(
     lowest, highest = goal_signals[0], goal_signals[-1]
     write_mismatch_csv(out / "mismatch_by_scenario.csv", ordered, [lowest, highest])
 
-    cost_reports = [
-        collection_cost(s, profiles, reward_model, catalog) for s in ordered
-    ]
+    # One reward table for every snapshot's participants, taken one snapshot
+    # at a time; the coordinated snapshot comes last and is priced twice.
+    cost_reports = []
+    for snapshot, rmax in zip(ordered, reward_tables(ordered, profiles, reward_model, catalog)):
+        cost_reports.append(cost_report(snapshot, rmax, reward_model))
     cost_reports.append(
-        collection_cost(
-            coordinated, profiles, reward_model, catalog,
+        cost_report(
+            coordinated, rmax, reward_model,
             include_intrinsic_value=False, label="coordinated_no_intrinsic",
         )
     )

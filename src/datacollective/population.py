@@ -480,7 +480,7 @@ def simulate_conditions(
             condition, saturated, n, lost_steps,
         )
     return ConditionRun(
-        tuple(SelectionVector(row, z) for row in selections.copy()),
+        SelectionVector.rows(selections.copy(), z),
         EventLog(
             tuple(p.participant_id for p in participants), taken,
             goal, scenario_id, option_log, rewards_after, privacy_after,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -90,7 +90,7 @@ class ScenarioCatalog:
     def m(self) -> int:
         return len(self.scenarios)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.criteria)
 
@@ -276,12 +276,25 @@ class SelectionVector:
     def __post_init__(self):
         sel = np.asarray(self.selections, dtype=np.intp)
         object.__setattr__(self, "selections", sel)
-        if self.z < 2:
-            raise InvalidInputError("need at least two data-sharing levels")
-        if sel.ndim != 1 or sel.size == 0:
-            raise InvalidInputError("selections must be a non-empty vector")
-        if np.any(sel < 1) or np.any(sel > self.z):
-            raise InvalidInputError(f"selections must lie in 1..{self.z}")
+        _check_selections(sel, self.z, ndim=1)
+
+    @classmethod
+    def rows(cls, block: np.ndarray, z: int = DEFAULT_LEVELS) -> tuple["SelectionVector", ...]:
+        """``SelectionVector(row, z)`` of each row of an (n, m) block, with
+        the constructor's rules checked once on the whole block; the vectors
+        hold read-only views of the block's rows."""
+        block = np.asarray(block, dtype=np.intp)
+        if block.ndim == 2 and not len(block):
+            return ()
+        _check_selections(block, z, ndim=2)
+        block = block.view()
+        block.flags.writeable = False
+        vectors = []
+        for row in block:
+            vector = cls.__new__(cls)
+            vector.__dict__.update(selections=row, z=z)
+            vectors.append(vector)
+        return tuple(vectors)
 
     @property
     def m(self) -> int:
@@ -294,6 +307,17 @@ class SelectionVector:
         sel = self.selections.copy()
         sel[scenario_id - 1] = option
         return SelectionVector(sel, self.z)
+
+
+def _check_selections(sel: np.ndarray, z: int, ndim: int) -> None:
+    """``SelectionVector``'s rules on one vector (``ndim`` 1) or on each row
+    of a block (``ndim`` 2)."""
+    if z < 2:
+        raise InvalidInputError("need at least two data-sharing levels")
+    if sel.ndim != ndim or sel.shape[-1] == 0:
+        raise InvalidInputError("selections must be a non-empty vector")
+    if np.any(sel < 1) or np.any(sel > z):
+        raise InvalidInputError(f"selections must lie in 1..{z}")
 
 
 def reward_table(
@@ -501,8 +525,14 @@ def read_catalog(path: str | Path) -> ScenarioCatalog:
             raise InvalidInputError(f"{path}:{lineno}: expected 'name = elements'")
         name, _, elements = line.partition("=")
         names = [e.strip() for e in elements.split(",") if e.strip()]
-        criteria.append(Criterion(name.strip(), tuple(names)))
-    return enumerate_scenarios(criteria)
+        try:
+            criteria.append(Criterion(name.strip(), tuple(names)))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return enumerate_scenarios(criteria)
+    except InvalidInputError as exc:  # no criterion
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def write_catalog(path: str | Path, catalog: ScenarioCatalog) -> None:
@@ -535,7 +565,57 @@ def write_weight_profiles(
 
 
 def read_weight_profiles(path: str | Path, catalog: ScenarioCatalog) -> list[WeightProfile]:
-    """Load profiles from CSV; the header row is mandatory and validated."""
+    """Load profiles from CSV; the header row is mandatory and validated. A
+    file whose every row passes is checked as one array; any other file is
+    read again by the row loop, which words the first error."""
+    profiles = _profile_table(path, catalog)
+    return _read_profile_rows(path, catalog) if profiles is None else profiles
+
+
+def _profile_table(path: str | Path, catalog: ScenarioCatalog) -> list[WeightProfile] | None:
+    """The profiles of a file that every rule accepts, with
+    ``WeightProfile``'s rules checked once on one (profiles, weights) array;
+    ``None`` for any other file. A row passes the sum rules here only if its
+    sums lie within half the tolerance of 1, so the per-row sums, added in
+    whatever order, pass them too; any other row is left to the loop."""
+    expected = profile_csv_header(catalog)
+    try:
+        with open_text(path) as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != expected:
+                return None
+            rows = [row for row in reader if row]
+        if any(len(row) != len(expected) for row in rows):
+            return None
+        weights = np.fromiter(
+            map(float, chain.from_iterable(row[1:] for row in rows)), float,
+            len(rows) * (len(expected) - 1),
+        ).reshape(len(rows), -1)
+    except (InvalidInputError, csv.Error, ValueError):
+        return None
+    # the criterion weights, then each criterion's element weights
+    starts = np.cumsum([0, catalog.k, *catalog.sizes]).tolist()
+    # NaN fails the range test too
+    if rows and not (
+        weights.min() >= -WEIGHT_TOL and weights.max() <= 1 + WEIGHT_TOL
+        and np.all(np.abs(np.add.reduceat(weights, starts[:-1], axis=1) - 1.0) <= WEIGHT_TOL / 2)
+    ):
+        return None
+    groups = list(zip(starts[1:-1], starts[2:]))
+    profiles = []
+    for row, w in zip(rows, weights):
+        profile = WeightProfile.__new__(WeightProfile)
+        profile.__dict__.update(
+            participant_id=row[0], criterion_weights=w[: starts[1]],
+            element_weights=tuple(w[a:b] for a, b in groups),
+        )
+        profiles.append(profile)
+    return profiles
+
+
+def _read_profile_rows(path: str | Path, catalog: ScenarioCatalog) -> list[WeightProfile]:
+    """The profiles one row at a time, each checked by ``WeightProfile``;
+    the first row that breaks a rule raises, naming the file and line."""
     expected = profile_csv_header(catalog)
     profiles = []
     with open_text(path) as fh:

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 
 from datacollective.coordination import Plan, PlanPortfolio
+from datacollective.errors import InvalidInputError, read_text
 from datacollective.goals import GoalSignal
 from datacollective.population import INTRINSIC, _condition_rng, _draw_intrinsic
 from datacollective.retrieval import (
@@ -79,11 +80,16 @@ def ragged_portfolios(rng, n, m=16):
 
 def read_plans_reference(paths, labels=None):
     """The line-by-line ``.plans`` reader: per file its agent id, plan values,
-    costs and labels, or the message of the first broken rule."""
+    costs and labels, or the message of the first broken rule. A file that
+    cannot be read, or is not UTF-8, gives ``errors.read_text``'s message."""
     portfolios = []
     for path in paths:
         plans = []
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        try:
+            text = read_text(path)
+        except InvalidInputError as exc:
+            return str(exc)
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue

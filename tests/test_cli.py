@@ -287,6 +287,59 @@ def test_goal_file_with_a_non_number(small_run, tmp_path, capsys):
     ], capsys, f"{goal}:3:")
 
 
+@pytest.mark.parametrize("value", ["1.5", "nan", "-0.25"])
+def test_goal_file_with_a_value_out_of_range(small_run, tmp_path, capsys, value):
+    goal = tmp_path / "goal.csv"
+    goal.write_text(f"scenario_id,value\n1,0.5\n2,{value}\n")
+    _assert_one_error([
+        "coordinate", "--plans-dir", str(small_run / "portfolios"),
+        "--goal-file", str(goal), "--out", str(tmp_path / "coord"),
+    ], capsys, f"error: {goal}:3: goal signal values must lie in [0, 1]\n")
+
+
+def test_goal_file_without_values(small_run, tmp_path, capsys):
+    goal = tmp_path / "goal.csv"
+    goal.write_text("scenario_id,value\n\n")
+    _assert_one_error([
+        "coordinate", "--plans-dir", str(small_run / "portfolios"),
+        "--goal-file", str(goal), "--out", str(tmp_path / "coord"),
+    ], capsys, f"error: {goal}: goal signal must be a non-empty vector\n")
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("sensor = a, b\ncollector = x, x\n", ":2", "criterion 'collector' has duplicate element names"),
+        ("# sensors\nsensor =\n", ":2", "criterion 'sensor' has no elements"),
+        ("# only a comment\n\n", "", "criterion list is empty"),
+    ],
+    ids=["duplicate-elements", "no-elements", "no-criteria"],
+)
+def test_catalog_file_errors_name_the_file(tmp_path, capsys, text, where, message):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(text)
+    _assert_one_error([
+        "conjoint", "--catalog", str(catalog), "--response", str(tmp_path / "response.csv"),
+        "--out", str(tmp_path / "conjoint"),
+    ], capsys, f"error: {catalog}{where}: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_response_with_a_value_that_is_not_finite(tmp_path, capsys, value):
+    response = tmp_path / "response.csv"
+    values = [str(j / 64) for j in range(1, 65)]
+    values[2] = value
+    response.write_text("scenario_id,value\n" + "".join(
+        f"{j},{v}\n" for j, v in enumerate(values, start=1)
+    ))
+    out = tmp_path / "conjoint"
+    _assert_one_error(
+        ["conjoint", "--response", str(response), "--out", str(out)], capsys,
+        f"error: {response}:4: not a finite number in ['3', '{value}']\n",
+    )
+    assert not (out / "partworths.json").exists()
+
+
 # A JSON object cut off after its second line, and a JSON list.
 NOT_A_JSON_OBJECT = [
     ('{\n  "n": 4,\n', ":3: malformed JSON"),
