@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularDesignError, open_text
+from .errors import InvalidInputError, SingularDesignError, csv_rows, open_text
 from .sharing import ScenarioCatalog
 
 CONDITION_LIMIT = 1e12  # normal-equations guard against silent regularization
@@ -222,7 +222,7 @@ def read_response_csv(path: str | Path, m: int | None = None) -> np.ndarray:
     """Load a per-scenario response: columns scenario_id, value."""
     values: dict[int, float] = {}
     with open_text(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header != ["scenario_id", "value"]:
             raise InvalidInputError(f"{path}: expected header scenario_id,value")

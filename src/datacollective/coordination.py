@@ -228,7 +228,7 @@ def _cost(
 ) -> np.ndarray:
     """The collective cost of aggregates (..., m) whose selected local costs
     are summarized as (count, sum, sum of squares) triples (..., 3)."""
-    count, total, sumsq = np.moveaxis(stats, -1, 0)
+    count, total, sumsq = stats[..., 0], stats[..., 1], stats[..., 2]
     mean = total / count
     var = np.maximum(sumsq / count - mean * mean, 0.0)
     x = standardize(aggregate)
@@ -523,10 +523,12 @@ def _read_plan_files(
         labels[j] if labels is not None and j < len(labels) else f"plan{j + 1}"
         for j in range(max(counts))
     )
-    ends = np.cumsum(counts)[:-1]
+    bounds = np.cumsum([0, *counts]).tolist()
     return [
-        PlanPortfolio.__new__(PlanPortfolio)._set(agent_id, v, c, plan_labels[:len(c)])
-        for agent_id, v, c in zip(agent_ids, np.split(values, ends), np.split(costs, ends))
+        PlanPortfolio.__new__(PlanPortfolio)._set(
+            agent_id, values[a:b], costs[a:b], plan_labels[:b - a]
+        )
+        for agent_id, a, b in zip(agent_ids, bounds, bounds[1:])
     ]
 
 

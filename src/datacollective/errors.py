@@ -3,6 +3,7 @@ unreadable input file into one of them."""
 
 from __future__ import annotations
 
+import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -65,6 +66,17 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
         except UnicodeDecodeError as exc:
             line = _first_undecodable_line(path)
             raise InvalidInputError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def csv_rows(fh: TextIO, path: str | Path) -> Iterator[list[str]]:
+    """The rows ``csv.reader`` reads from ``fh``; a malformed line (a field
+    over ``csv.field_size_limit()``) raises an ``InvalidInputError`` naming
+    the file and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
 
 
 def _first_undecodable_line(path: str | Path) -> int:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, open_text
+from .errors import InvalidInputError, csv_rows, open_text
 from .sharing import SelectionVector
 
 LEVEL_NAMES = ("very_low", "low", "medium", "high", "very_high")
@@ -88,8 +88,10 @@ def standardize(values: np.ndarray | Sequence[float]) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.ndim < 1 or x.shape[-1] < 2:
         raise InvalidInputError("standardize needs vectors of length >= 2")
-    centered = x - x.mean(axis=-1, keepdims=True)
-    sd = np.sqrt(np.mean(centered**2, axis=-1, keepdims=True))
+    # the means as ``np.mean`` computes them, without its Python wrapper
+    m = x.shape[-1]
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / m
+    sd = np.sqrt(np.add.reduce(centered**2, axis=-1, keepdims=True) / m)
     return np.divide(centered, sd, out=np.zeros_like(centered), where=sd != 0.0)
 
 
@@ -120,7 +122,7 @@ def read_goal_signal(
 ) -> GoalSignal:
     values = []
     with open_text(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header != ["scenario_id", "value"]:
             raise InvalidInputError(f"{path}: expected header scenario_id,value")

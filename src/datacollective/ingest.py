@@ -3,10 +3,12 @@
 External archives rarely match our column names, so ingestion is driven by a
 mapping config: which source column holds the participant id, condition,
 scenario id, selection and (optionally) timestamp, plus how condition values
-translate to the canonical labels. One pass over the rows files each
-accepted row into answers grouped by condition, participant and scenario id.
-A file whose every row would be accepted as a new key is read in blocks
-instead; the row loop reads every other file, and words every rejection.
+translate to the canonical labels. The accepted rows become one answer
+table per condition: participant ids, and their scenario ids and selections
+as arrays. A file whose every row would be accepted as a new key is read as
+bytes in blocks, straight into the tables; the row loop reads every other
+file, groups its answers by participant and scenario id, and words every
+rejection.
 Rows that fail validation are reported with their line numbers and counted,
 never silently dropped; duplicate (participant, condition, scenario) rows
 resolve to the latest timestamp, so every row counts once as accepted (a new
@@ -89,16 +91,47 @@ class IngestReport:
 
 
 @dataclass(frozen=True)
-class DatasetBundle:
-    """Canonical view of an ingested archive: the accepted answers grouped
-    as condition -> participant id -> scenario id -> selection."""
+class AnswerTable:
+    """One condition's accepted answers. Participant ``participant_ids[i]``
+    answers rows ``offsets[i]:offsets[i + 1]`` of ``scenario_ids`` and
+    ``selections``; the ids are in first-seen order and each participant's
+    rows in file order, a duplicate kept in the place of its first row."""
 
-    answers: dict[str, dict[str, dict[int, int]]]
+    participant_ids: list[str]
+    offsets: np.ndarray
+    scenario_ids: np.ndarray
+    selections: np.ndarray
+
+    @classmethod
+    def from_dicts(cls, by_participant: Mapping[str, Mapping[int, int]]) -> "AnswerTable":
+        """The table of participant id -> scenario id -> selection dicts, in
+        their insertion orders. Scenario ids too large for int64 (read
+        without a catalog) are kept as Python ints, so errors can name them."""
+        answers = by_participant.values()
+        offsets = np.zeros(len(answers) + 1, dtype=np.intp)
+        np.cumsum(list(map(len, answers)), out=offsets[1:])
+        scenario_ids = list(chain.from_iterable(answers))
+        try:
+            scenario_ids = np.array(scenario_ids, dtype=np.int64)
+        except OverflowError:
+            scenario_ids = np.array(scenario_ids, dtype=object)
+        selections = np.fromiter(
+            chain.from_iterable(a.values() for a in answers), np.int64, offsets[-1]
+        )
+        return cls(list(by_participant), offsets, scenario_ids, selections)
+
+
+@dataclass(frozen=True)
+class DatasetBundle:
+    """Canonical view of an ingested archive: the accepted answers as one
+    ``AnswerTable`` per condition."""
+
+    tables: dict[str, AnswerTable]
     profiles: dict[str, WeightProfile]
     provenance: str = ""
 
     def conditions(self) -> set[str]:
-        return set(self.answers)
+        return set(self.tables)
 
     def selection_vectors(
         self, condition: str, m: int, z: int = 5, report: IngestReport | None = None
@@ -107,33 +140,34 @@ class DatasetBundle:
         participants with an incomplete set of scenarios are skipped, and
         recorded as ``incomplete`` in ``report`` if one is given. A scenario
         id above m raises, since the archive and the catalog then disagree."""
-        by_participant = self.answers.get(condition, {})
-        complete, incomplete, outside = [], [], None
-        for pid in sorted(by_participant):
-            answers = by_participant[pid]
-            # ids below 1 never get past ingest
-            if max(answers) > m:
-                outside = pid
-                break
-            (complete if len(answers) == m else incomplete).append(pid)
-        # m answers, none above m and none below 1: the keys are 1..m
-        scenarios = range(1, m + 1)
-        block = np.fromiter(
-            chain.from_iterable(
-                map(by_participant[pid].__getitem__, scenarios) for pid in complete
-            ),
-            np.intp, len(complete) * m,
-        ).reshape(len(complete), m)
-        # a row before ``outside`` that breaks a rule raises first
-        vectors = dict(zip(complete, SelectionVector.rows(block, z)))
-        if outside is not None:
+        table = self.tables.get(condition)
+        if table is None:
+            return {}
+        ids, offsets = table.participant_ids, table.offsets
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        # ids below 1 never get past ingest
+        outside = np.maximum.reduceat(table.scenario_ids, offsets[:-1])[order] > m
+        cut = int(outside.argmax()) if outside.any() else len(order)
+        kept = order[:cut]
+        full = np.diff(offsets)[kept] == m
+        complete = kept[full]
+        # m answers, none above m, none below 1 and no two alike: the ids are 1..m
+        rows = offsets[complete][:, None] + np.arange(m)
+        columns = table.scenario_ids[rows].astype(np.intp, copy=False) - 1
+        block = np.empty((len(complete), m), dtype=np.intp)
+        block[np.arange(len(complete))[:, None], columns] = table.selections[rows]
+        # a row before the one outside 1..m that breaks a rule raises first
+        vectors = dict(zip([ids[i] for i in complete], SelectionVector.rows(block, z)))
+        if cut < len(order):
+            i = order[cut]
+            answered = table.scenario_ids[offsets[i]:offsets[i + 1]].tolist()
             raise InvalidInputError(
-                f"{self.provenance or 'dataset'}: participant '{outside}' answers "
-                f"scenario ids {sorted(j for j in answers if j > m)} outside 1..{m} "
+                f"{self.provenance or 'dataset'}: participant '{ids[i]}' answers "
+                f"scenario ids {sorted(j for j in answered if j > m)} outside 1..{m} "
                 f"in condition '{condition}'"
             )
         if report is not None:
-            report.drop(condition, "incomplete", incomplete)
+            report.drop(condition, "incomplete", [ids[i] for i in kept[~full]])
         return vectors
 
     def selections_by_participant(
@@ -200,15 +234,15 @@ def ingest(
 ) -> tuple[DatasetBundle, IngestReport]:
     """Read an archive into the canonical bundle, validating every row.
 
-    Each accepted row is filed straight into the bundle's grouped answers;
-    the scenario ids a row may name run up to ``catalog.m`` when a catalog
-    is given, and are checked against m later otherwise. A file that every
-    row passes is read in blocks; any other file is read by the row loop,
-    which words each rejection."""
+    The accepted rows fill one answer table per condition; the scenario ids
+    a row may name run up to ``catalog.m`` when a catalog is given, and are
+    checked against m later otherwise. A file that every row passes is read
+    in blocks; any other file is read by the row loop, which words each
+    rejection."""
     mapping = {**DEFAULT_MAPPING, **(mapping or {})}
     m_limit = catalog.m if catalog is not None else math.inf
     read = _ingest_blocks(responses_path, mapping, m_limit, z)
-    answers, report = read or _ingest_rows(responses_path, mapping, m_limit, z)
+    tables, report = read or _ingest_rows(responses_path, mapping, m_limit, z)
 
     profiles: dict[str, WeightProfile] = {}
     if profiles_path is not None:
@@ -218,14 +252,15 @@ def ingest(
             p.participant_id: p for p in read_weight_profiles(profiles_path, catalog)
         }
 
-    return DatasetBundle(answers=answers, profiles=profiles, provenance=provenance), report
+    return DatasetBundle(tables=tables, profiles=profiles, provenance=provenance), report
 
 
 def _ingest_rows(
     responses_path: str | Path, mapping: Mapping, m_limit: float, z: int
-) -> tuple[dict[str, dict[str, dict[int, int]]], IngestReport]:
-    """The grouped answers and the report of one pass of ``csv.reader`` over
-    the file; the only reader that words a rejected row or a malformed file."""
+) -> tuple[dict[str, AnswerTable], IngestReport]:
+    """The answer tables and the report of one pass of ``csv.reader`` over
+    the file; the only reader that words a rejected row or a malformed file.
+    It groups the answers in dicts and converts them to tables once."""
     condition_values = mapping.get("condition_values") or {}
     report = IngestReport()
     row_errors = report.row_errors
@@ -317,126 +352,224 @@ def _ingest_rows(
 
     if total == 0:
         report.warnings.append(f"{responses_path}: no data rows")
-    return answers, report
+    return {c: AnswerTable.from_dicts(a) for c, a in answers.items()}, report
 
 
-# characters the bulk reader reads at a time, before extending to a line end
-BLOCK_CHARS = 1 << 16
+# bytes the bulk reader reads at a time, before extending to a line end
+BLOCK_BYTES = 1 << 16
+# the tables hold int64 scenario ids; the row loop reads larger ones
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _ingest_blocks(
     responses_path: str | Path, mapping: Mapping, m_limit: float, z: int
-) -> tuple[dict[str, dict[str, dict[int, int]]], IngestReport] | None:
+) -> tuple[dict[str, AnswerTable], IngestReport] | None:
     """What ``_ingest_rows`` returns for a file whose every row it accepts as
-    a new key, read in blocks of lines; ``None`` for any other file, or one
-    ``csv.reader`` might split differently, so the row loop reads it.
+    a new key, read as bytes in blocks of lines; ``None`` for any other
+    file, or one ``csv.reader`` might split differently, so the row loop
+    reads it.
 
-    Each block is split at line ends and commas in one go. Each distinct
-    field text is converted once, by the loop's own ``int`` and ``float``,
-    and each run of rows of one (participant, condition) pair fills its
-    answers with one ``dict.update``; a run may continue into the next block."""
+    Each block's field bounds come from one search for commas and line
+    ends (``_block_fields``), and its columns convert as ``_column_values``
+    says. Runs of lines of one (participant, condition) pair are found by
+    comparing each line's two fields with the line before's, and only a
+    run's first line is decoded and checked; a run may continue into the
+    next block. One sort of (run, scenario id) keys finds a repeated
+    scenario, and each condition's table gathers its runs' rows at once."""
     condition_values = mapping.get("condition_values") or {}
     limit = csv.field_size_limit()
-    scenario_ids: dict[str, int] = {}
-    levels: dict[str, int] = {}
-    stamps: dict[str, float] = {}
-    answers: dict[str, dict[str, dict[int, int]]] = {}
-    last, chosen, total = None, {}, 0
-    with open_text(responses_path) as fh:
+    try:
+        fh = open(responses_path, "rb")
+    except OSError:
+        return None  # the row loop names the file
+    with fh:
         try:
-            header = _plain_lines(fh.readline(), limit)
-            if not header:
-                return None
-            header = header.split(",")
-            if any(mapping[key] not in header for key in REQUIRED_COLUMNS):
-                return None
-            pid_pos, condition_pos, scenario_pos, selection_pos = (
-                header.index(mapping[key]) for key in REQUIRED_COLUMNS
-            )
-            ts_column = mapping.get("timestamp")
-            ts_pos = header.index(ts_column) if ts_column in header else None
-            width = len(header) + 1  # a line's fields and its end
-            while block := fh.read(BLOCK_CHARS):
-                lines = _plain_lines(block + fh.readline(), limit)
-                if lines is None:
-                    return None
-                if not lines:
-                    continue
-                n = lines.count("\n") + 1
-                fields = lines.replace("\n", ",\n,").split(",")
-                # a line end after every len(header) fields, and nowhere else
-                if len(fields) != n * width - 1 or fields[width - 1::width].count("\n") != n - 1:
-                    return None
-                scenarios, selections = fields[scenario_pos::width], fields[selection_pos::width]
-                if not (
-                    _convert_new(scenarios, scenario_ids, int, 1, m_limit)
-                    and _convert_new(selections, levels, int, 1, z)
-                    and (ts_pos is None or _convert_new(
-                        fields[ts_pos::width], stamps, _timestamp, -sys.float_info.max,
-                        sys.float_info.max,
-                    ))
-                ):
-                    return None
-                scenarios = list(map(scenario_ids.__getitem__, scenarios))
-                selections = list(map(levels.__getitem__, selections))
-                pids, conditions = fields[pid_pos::width], fields[condition_pos::width]
-                p, c = np.array(pids, dtype=object), np.array(conditions, dtype=object)
-                starts = np.flatnonzero((p[1:] != p[:-1]) | (c[1:] != c[:-1])) + 1
-                bounds = [0, *starts.tolist(), n]
-                for a, b in zip(bounds, bounds[1:]):
-                    if (pids[a], conditions[a]) != last:
-                        pid, raw_condition = last = pids[a], conditions[a]
-                        if (pid != pid.strip() or raw_condition != raw_condition.strip()
-                                or not is_file_stem(pid)):
-                            return None
-                        by_pid = answers.setdefault(
-                            condition_values.get(raw_condition, raw_condition), {}
-                        )
-                        if pid in by_pid:  # the pair seen before: the loop merges
-                            return None
-                        chosen = by_pid[pid] = {}
-                    size = len(chosen)
-                    chosen.update(zip(scenarios[a:b], selections[a:b]))
-                    if len(chosen) != size + b - a:  # a duplicate scenario id
-                        return None
-                total += n
+            header = fh.readline().decode("utf-8")
         except UnicodeDecodeError:
-            return None  # the row loop names the line, or meets an earlier error
+            return None
+        header = header[:-1].removesuffix("\r") if header.endswith("\n") else header
+        if not header or len(header) >= limit or any(c in header for c in '"\x00\r'):
+            return None
+        header = header.split(",")
+        if any(mapping[key] not in header for key in REQUIRED_COLUMNS):
+            return None
+        pid_pos, condition_pos, scenario_pos, selection_pos = (
+            header.index(mapping[key]) for key in REQUIRED_COLUMNS
+        )
+        ts_column = mapping.get("timestamp")
+        ts_pos = header.index(ts_column) if ts_column in header else None
+        # each column's converted texts, kept from block to block
+        scenario_texts: dict[bytes, int] = {}
+        level_texts: dict[bytes, int] = {}
+        stamp_texts: dict[bytes, float] = {}
+        # per run: its condition's index in ``labels``, its participant id and
+        # the index of its first row in the file
+        labels: dict[str, int] = {}
+        run_labels, run_pids, run_starts, pairs = [], [], [], set()
+        scenario_blocks, selection_blocks = [], []
+        last, total = None, 0
+        while block := fh.read(BLOCK_BYTES):
+            fields = _block_fields(block + fh.readline(), limit, len(header))
+            if fields is None:
+                return None
+            data, buf, bounds = fields
+            if not len(bounds):
+                continue
+            scenarios = _column_values(
+                data, buf, bounds, scenario_pos, scenario_texts, int, 1, min(m_limit, _INT64_MAX)
+            )
+            selections = _column_values(data, buf, bounds, selection_pos, level_texts, int, 1, z)
+            if scenarios is None or selections is None or ts_pos is not None and _column_values(
+                data, buf, bounds, ts_pos, stamp_texts, _timestamp,
+                -sys.float_info.max, sys.float_info.max,
+            ) is None:
+                return None
+            changed = _changed(buf, bounds, pid_pos) | _changed(buf, bounds, condition_pos)
+            for a in np.flatnonzero(changed).tolist():
+                line = bounds[a].tolist()
+                pair = (data[line[pid_pos] + 1:line[pid_pos + 1]].decode("utf-8"),
+                        data[line[condition_pos] + 1:line[condition_pos + 1]].decode("utf-8"))
+                if pair == last:
+                    continue  # the run goes on, from the line or the block before
+                pid, raw_condition = last = pair
+                if (pid != pid.strip() or raw_condition != raw_condition.strip()
+                        or not is_file_stem(pid)):
+                    return None
+                condition = condition_values.get(raw_condition, raw_condition)
+                if (condition, pid) in pairs:  # the pair seen before: the loop merges
+                    return None
+                pairs.add((condition, pid))
+                run_labels.append(labels.setdefault(condition, len(labels)))
+                run_pids.append(pid)
+                run_starts.append(total + a)
+            scenario_blocks.append(scenarios)
+            selection_blocks.append(selections)
+            total += len(bounds)
     if total == 0:
         return None
-    return answers, IngestReport(total_rows=total, accepted=total)
-
-
-def _plain_lines(text: str, limit: int) -> str | None:
-    """The non-blank lines of ``text``, joined by LF, when ``csv.reader``
-    would split each line at every comma and at nothing else: no quote, NUL,
-    CR outside CRLF, or line of ``limit`` characters (a field might be too
-    large); ``None`` otherwise."""
-    if '"' in text or "\x00" in text:
+    scenarios = np.concatenate(scenario_blocks)
+    selections = np.concatenate(selection_blocks)
+    lengths = np.diff([*run_starts, total])
+    span = int(scenarios.max())
+    if len(run_starts) * span > _INT64_MAX:
+        return None  # too large for one key; the row loop reads such ids
+    # one key per (run, scenario id), unique unless a run repeats a scenario
+    keys = np.sort(np.repeat(np.arange(len(run_starts)) * span, lengths) + (scenarios - 1))
+    if (keys[1:] == keys[:-1]).any():
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
+    run_labels = np.array(run_labels)
+    row_labels = np.repeat(run_labels, lengths)
+    tables = {}
+    for condition, label in labels.items():
+        runs = np.flatnonzero(run_labels == label)
+        rows = row_labels == label
+        offsets = np.zeros(len(runs) + 1, dtype=np.intp)
+        np.cumsum(lengths[runs], out=offsets[1:])
+        tables[condition] = AnswerTable(
+            [run_pids[r] for r in runs.tolist()], offsets, scenarios[rows], selections[rows]
+        )
+    return tables, IngestReport(total_rows=total, accepted=total)
+
+
+def _block_fields(
+    data: bytes, limit: int, width: int
+) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+    """A block of whole lines as ``(data, buf, bounds)``, where ``buf`` views
+    ``data`` as bytes and line i's field j spans ``bounds[i, j] + 1`` up to
+    ``bounds[i, j + 1]``: one search for commas and LFs, with a CR before an
+    LF cut from its line's last field. Blank lines are dropped. ``None``
+    when ``csv.reader`` might split a line otherwise, or the row loop may
+    have more to say: a quote, NUL, CR outside CRLF or byte that is not
+    UTF-8, a line of ``limit`` characters (a field might be too large), or a
+    line of other than ``width`` fields."""
+    if b'"' in data or b"\x00" in data:
+        return None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None  # the row loop names the line, or meets an earlier error
+    if data.endswith(b"\r"):
+        return None  # the file ends in a CR, with no LF after it
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the last line of a file without a final line end
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    is_end = buf[seps] == ord("\n")
+    ends = seps[is_end]
+    stops = ends.copy()
+    if b"\r" in data:
+        crlf = buf[ends - 1] == ord("\r")
+        if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf):
             return None
-    if len(text) >= limit and max(map(len, text.split("\n"))) >= limit:
+        stops -= crlf
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (stops == starts).any():  # blank lines: the slower join drops them
+        lines = data.replace(b"\r\n", b"\n").split(b"\n")
+        data = b"".join(line + b"\n" for line in lines if line)
+        if not data:
+            return data, buf[:0], np.empty((0, width + 1), dtype=np.intp)
+        return _block_fields(data, limit, width)
+    n = len(ends)
+    if len(seps) != n * width or not is_end[width - 1::width].all():
         return None
-    if "\n\n" in text or text.startswith("\n"):
-        return "\n".join(filter(None, text.split("\n")))
-    return text.removesuffix("\n")
+    bounds = np.empty((n, width + 1), dtype=np.intp)
+    bounds[:, 0] = starts - 1
+    bounds[:, 1:] = seps.reshape(n, width)
+    bounds[:, width] = stops
+    # a line's bytes; the limit counts characters
+    for i in np.flatnonzero(stops - starts >= limit).tolist():
+        if len(data[starts[i]:stops[i]].decode("utf-8")) >= limit:
+            return None
+    return data, buf, bounds
 
 
-def _convert_new(texts: list[str], table: dict, convert, low: float, high: float) -> bool:
-    """Add to ``table`` the value ``convert`` gives each text new to it;
-    false if one raises ``ValueError`` or falls outside low..high (as NaN does)."""
-    for text in set(texts).difference(table):
+def _column_values(
+    data: bytes, buf: np.ndarray, bounds: np.ndarray, j: int,
+    texts: dict, convert, low: float, high: float,
+) -> np.ndarray | None:
+    """The values ``convert`` gives each line's field j (as ``_block_fields``
+    bounds it), as the row loop converts them; ``None`` if one raises
+    ``ValueError`` or falls outside low..high (as NaN does). Fields of 1 to 9
+    ASCII digits are read by position, since ``int`` and ``float`` of such a
+    text are its digit value; any other column converts each text new to
+    ``texts`` once."""
+    start, end = bounds[:, j] + 1, bounds[:, j + 1]
+    size = end - start
+    most = int(size.max())
+    if size.min() >= 1 and most <= 9:
+        # each field's digits right-aligned in ``most`` rows, zeros before
+        digits = buf.take(end + np.arange(-most, 0)[:, None], mode="clip") - ord("0")
+        digits *= np.arange(most)[:, None] >= most - size
+        if (digits <= 9).all():
+            values = 10 ** np.arange(most - 1, -1, -1) @ digits
+            return values if low <= values.min() and values.max() <= high else None
+    fields = [data[a:b] for a, b in zip(start.tolist(), end.tolist())]
+    for text in set(fields).difference(texts):
         try:
-            value = convert(text)
+            value = convert(text.decode("utf-8"))
         except ValueError:
-            return False
+            return None
         if not low <= value <= high:
-            return False
-        table[text] = value
-    return True
+            return None
+        texts[text] = value
+    return np.array(list(map(texts.__getitem__, fields)))
+
+
+def _changed(buf: np.ndarray, bounds: np.ndarray, j: int) -> np.ndarray:
+    """Whether each line's field j may differ from the line before's: the
+    first line's always may; the others compare as one table of the fields'
+    bytes, padded with NULs (which no field holds). When the widest field
+    would make that table larger than the block, every line may."""
+    start = bounds[:, j] + 1
+    size = bounds[:, j + 1] - start
+    most = max(int(size.max()), 1)
+    changed = np.ones(len(size), dtype=bool)
+    if len(size) * most <= len(buf):
+        # one row per byte position, one column per line
+        fields = buf.take(start + np.arange(most)[:, None], mode="clip")
+        fields *= np.arange(most)[:, None] < size
+        changed[1:] = (fields[:, 1:] != fields[:, :-1]).any(axis=0)
+    return changed
 
 
 def _timestamp(text: str) -> float:

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateProfileError,
     InvalidInputError,
     MissingParameterError,
+    csv_rows,
     open_text,
     read_text,
 )
@@ -619,7 +620,7 @@ def _read_profile_rows(path: str | Path, catalog: ScenarioCatalog) -> list[Weigh
     expected = profile_csv_header(catalog)
     profiles = []
     with open_text(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header != expected:
             raise InvalidInputError(

@@ -446,6 +446,31 @@ def test_profiles_and_response_files_that_cannot_be_read(small_run, tmp_path, ca
     _assert_one_error(conjoint + [str(response)], capsys, f"{response}:3: not a number")
 
 
+@pytest.mark.parametrize("reader", ["goal", "profiles", "response"])
+def test_csv_fields_over_the_size_limit(small_run, small_coordination, tmp_path, capsys, reader):
+    """A field larger than ``csv.field_size_limit()`` in a goal, profiles or
+    response file ends in one ``error:`` line naming the file and line, not
+    in a raw ``csv.Error``."""
+    path = tmp_path / f"{reader}.csv"
+    if reader == "profiles":
+        lines = (small_run / "profiles.csv").read_text().splitlines()
+        lines[2] = lines[2].replace(",", "," + "1" * 200_000, 1)
+        path.write_text("\n".join(lines) + "\n")
+        argv = [
+            "evaluate", "--selections", str(small_run / "selections.csv"),
+            "--profiles", str(path),
+            "--runs-json", str(small_coordination / "coordination_runs.json"),
+            "--plans-dir", str(small_run / "portfolios"), "--out", str(tmp_path / "eval"),
+        ]
+    else:
+        path.write_text("scenario_id,value\n1,0.5\n2," + "5" * 200_000 + "\n")
+        argv = (["coordinate", "--plans-dir", str(small_run / "portfolios"),
+                 "--goal-file", str(path), "--out", str(tmp_path / "coord")]
+                if reader == "goal" else
+                ["conjoint", "--response", str(path), "--out", str(tmp_path / "conjoint")])
+    _assert_one_error(argv, capsys, f"{path}:3: malformed CSV (field larger than field limit")
+
+
 @pytest.fixture(scope="module")
 def small_coordination(small_run, tmp_path_factory):
     """Goal signals of ``small_run`` and one short coordination of its portfolios."""

@@ -29,6 +29,22 @@ def write_rows(path, header, rows):
 CANONICAL = ["participant_id", "condition", "scenario_id", "selection", "timestamp"]
 
 
+def table_lists(table):
+    """An answer table as lists: ids, offsets, scenario ids and selections."""
+    return (table.participant_ids, table.offsets.tolist(), table.scenario_ids.tolist(),
+            table.selections.tolist())
+
+
+def simulated_table(simulations, condition):
+    """``table_lists`` of the table that exported ``simulations`` read back
+    as in ``condition``: ids in sorted order, scenarios 1..m in order."""
+    pids = sorted(simulations)
+    vectors = [simulations[pid][condition] for pid in pids]
+    offsets = np.cumsum([0] + [sv.m for sv in vectors]).tolist()
+    return (pids, offsets, [j for sv in vectors for j in range(1, sv.m + 1)],
+            [int(s) for sv in vectors for s in sv.selections])
+
+
 class TestIngest:
     def test_empty_file_warns(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -108,7 +124,7 @@ class TestIngest:
         message = f"participant id {pid!r} cannot name a file"
         assert report.row_errors == [(3, message), (4, message)]
         assert report.accepted == 2
-        assert list(bundle.answers["intrinsic"]) == ["p1"]
+        assert bundle.tables["intrinsic"].participant_ids == ["p1"]
 
     def test_unmapped_column_is_structural_error(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -219,10 +235,8 @@ class TestRoundTrip:
         assert path.read_bytes() == expected.read_bytes()
         bundle, report = ingest(path)
         assert report.rejected == 0
-        for pid, by_condition in simulations.items():
-            for condition, sv in by_condition.items():
-                answers = bundle.answers[condition][pid]
-                assert [answers[j] for j in range(1, sv.m + 1)] == sv.selections.tolist()
+        for condition in simulations["plain"]:
+            assert table_lists(bundle.tables[condition]) == simulated_table(simulations, condition)
 
 
 # One row for each rejection message, plus the rows the parser must accept:
@@ -334,7 +348,9 @@ def test_non_finite_timestamps_are_rejected(tmp_path, stamp):
     bundle, report = ingest(path)
     assert report.row_errors == [(2, f"unparseable timestamp '{stamp}'")]
     assert (report.total_rows, report.accepted, report.duplicates) == (2, 1, 0)
-    assert bundle.answers == {"intrinsic": {"p1": {1: 3}}}
+    assert {c: table_lists(t) for c, t in bundle.tables.items()} == {
+        "intrinsic": (["p1"], [0, 1], [1], [3])
+    }
 
 
 # -- the block reader against the row loop -------------------------------------
@@ -344,7 +360,7 @@ def test_non_finite_timestamps_are_rejected(tmp_path, stamp):
 # holds it to the loop called directly: the answers in insertion order and
 # every report field, or the error's type and message.
 
-BLOCK_SIZES = [1, 5, 17, ingest_module.BLOCK_CHARS]
+BLOCK_SIZES = [1, 5, 17, ingest_module.BLOCK_BYTES]
 CATALOG4 = enumerate_scenarios([Criterion("a", ("x", "y")), Criterion("b", ("u", "v"))])
 
 
@@ -353,16 +369,13 @@ def _outcome(read):
         answers, report = read()
     except DataCollectiveError as exc:
         return type(exc), str(exc)
-    ordered = [
-        (condition, [(pid, list(chosen.items())) for pid, chosen in by_pid.items()])
-        for condition, by_pid in answers.items()
-    ]
+    ordered = [(condition, table_lists(table)) for condition, table in answers.items()]
     return ordered, dataclasses.asdict(report)
 
 
-def _ingest_and_loop(path, mapping, catalog, block_chars, z=5):
+def _ingest_and_loop(path, mapping, catalog, block_bytes, z=5):
     """The outcomes of ``ingest`` and of the row loop on one file, and
-    whether ``ingest`` read it in blocks of ``block_chars``."""
+    whether ``ingest`` read it in blocks of ``block_bytes``."""
     blocks, taken = ingest_module._ingest_blocks, []
 
     def recorded(*args):
@@ -372,11 +385,11 @@ def _ingest_and_loop(path, mapping, catalog, block_chars, z=5):
 
     def via_ingest():
         bundle, report = ingest(path, mapping=mapping, catalog=catalog, z=z)
-        return bundle.answers, report
+        return bundle.tables, report
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest_module, "_ingest_blocks", recorded)
-        mp.setattr(ingest_module, "BLOCK_CHARS", block_chars)
+        mp.setattr(ingest_module, "BLOCK_BYTES", block_bytes)
         fast = _outcome(via_ingest)
     full = {**ingest_module.DEFAULT_MAPPING, **(mapping or {})}
     m_limit = catalog.m if catalog is not None else math.inf
@@ -524,7 +537,7 @@ def test_block_reader_on_a_file_that_cannot_be_read(tmp_path, name):
     path = tmp_path / "responses.csv"
     if name == "directory":
         path.mkdir()
-    fast, slow, _ = _ingest_and_loop(path, None, None, ingest_module.BLOCK_CHARS)
+    fast, slow, _ = _ingest_and_loop(path, None, None, ingest_module.BLOCK_BYTES)
     assert fast == slow and fast[0] is InvalidInputError
 
 
@@ -537,7 +550,7 @@ def test_block_reader_leaves_an_earlier_error_to_the_loop(tmp_path):
                      + b"p3,intrinsic,1,1,\xe9\n")
     limit = csv.field_size_limit(1000)
     try:
-        fast, slow, _ = _ingest_and_loop(path, None, None, ingest_module.BLOCK_CHARS)
+        fast, slow, _ = _ingest_and_loop(path, None, None, ingest_module.BLOCK_BYTES)
     finally:
         csv.field_size_limit(limit)
     assert fast == slow and fast[0] is IngestError
@@ -640,14 +653,13 @@ def test_exported_and_golden_files_need_no_row_loop(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest_module, "_ingest_rows", _refuse)
     bundle, report = ingest(tmp_path / "export.csv", catalog=default_catalog())
     assert (report.total_rows, report.accepted, report.rejected) == (40 * 3 * 64,) * 2 + (0,)
-    for pid, by_condition in simulations.items():
-        for condition, sv in by_condition.items():
-            answers = bundle.answers[condition][pid]
-            assert list(answers.items()) == list(enumerate(sv.selections.tolist(), start=1))
+    for condition in ("intrinsic", "rewarded1", "rewarded2"):
+        assert table_lists(bundle.tables[condition]) == simulated_table(simulations, condition)
     bundle, report = ingest(tmp_path / "golden" / "selections.csv", catalog=default_catalog())
     n = GOLDEN["n"]
     assert (report.total_rows, report.accepted, report.duplicates) == (n * 3 * 64,) * 2 + (0,)
-    assert all(len(bundle.answers[c]) == n for c in ("intrinsic", "rewarded1", "rewarded2"))
+    assert all(len(bundle.tables[c].participant_ids) == n
+               for c in ("intrinsic", "rewarded1", "rewarded2"))
 
 
 def test_block_reader_holds_one_block_at_a_time(tmp_path, monkeypatch):
@@ -670,3 +682,144 @@ def test_block_reader_holds_one_block_at_a_time(tmp_path, monkeypatch):
     ))
     monkeypatch.setattr(ingest_module, "_ingest_rows", _refuse)
     assert peak(lambda: ingest(path)) < loop_peak
+
+
+# -- answer tables -------------------------------------------------------------
+
+@pytest.mark.parametrize("catalog", [None, CATALOG4], ids=["no_catalog", "catalog"])
+def test_scenario_ids_beyond_int64(tmp_path, catalog):
+    """A 25-digit scenario id does not fit the block reader's int64 columns,
+    so the row loop reads the file. Without a catalog it keeps the id, and
+    ``selection_vectors`` names it; with one the row is rejected."""
+    huge = "1" * 25
+    path = tmp_path / "responses.csv"
+    path.write_text(_text(CANONICAL, _edited(_rows(), 5, 2, huge)))
+    fast, slow, took_blocks = _ingest_and_loop(path, None, catalog, ingest_module.BLOCK_BYTES)
+    assert fast == slow and not took_blocks
+    bundle, report = ingest(path, catalog=catalog)
+    if catalog is None:
+        assert report.rejected == 0
+        with pytest.raises(InvalidInputError) as exc:
+            bundle.selection_vectors("rewarded1", 4)
+        assert str(exc.value) == (
+            f"dataset: participant 'p1' answers scenario ids [{huge}] outside 1..4 "
+            "in condition 'rewarded1'"
+        )
+    else:
+        assert report.row_errors == [(7, f"scenario id {huge} out of range")]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+@pytest.mark.parametrize("stamps", [
+    ["0", "7", "42", "123456789", "000000001", "99"],
+    ["1.5", "-0.25", "2e3", "1_0", " 3 ", "", "1e-3", "7"],
+], ids=["digits", "float_texts"])
+def test_timestamp_columns_read_in_blocks(tmp_path, stamps, block_bytes):
+    """Timestamps of plain digits are checked by position, any other column
+    text by text; either way the block reader gives the row loop's outcome."""
+    rows = [row[:4] + [stamps[i % len(stamps)]] for i, row in enumerate(_rows(m=8))]
+    path = tmp_path / "responses.csv"
+    path.write_text(_text(CANONICAL, rows))
+    fast, slow, took_blocks = _ingest_and_loop(path, None, None, block_bytes)
+    assert fast == slow and took_blocks
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+@pytest.mark.parametrize("pids, conditions", [
+    (("p1", "p1000", "p2"), ("day1", "intrinsic")),
+    (("p1", "p" * 1000, "p2"), ("intrinsic", "rewarded1")),
+], ids=["unequal_sizes", "one_long_id"])
+def test_runs_of_fields_of_unequal_sizes(tmp_path, pids, conditions, block_bytes):
+    """Runs in columns whose fields differ in size, and in a block whose
+    widest id is too wide for a table of its ids' bytes."""
+    path = tmp_path / "responses.csv"
+    path.write_text(_text(CANONICAL, _rows(pids=pids, conditions=conditions, m=16)))
+    fast, slow, took_blocks = _ingest_and_loop(path, None, None, block_bytes)
+    assert fast == slow and took_blocks
+
+
+def test_digit_columns_convert_by_position():
+    """Fields of 1 to 9 ASCII digits, of any mix of sizes, convert without
+    a text table; any other column fills one."""
+    data, buf, bounds = ingest_module._block_fields(b"1,22\n333,+3\n000000009,7\n", 1000, 2)
+    texts = {}
+    values = ingest_module._column_values(data, buf, bounds, 0, texts, int, 1, 999)
+    assert values.tolist() == [1, 333, 9] and texts == {}
+    values = ingest_module._column_values(data, buf, bounds, 1, texts, int, 1, 99)
+    assert values.tolist() == [22, 3, 7] and texts == {b"22": 22, b"+3": 3, b"7": 7}
+
+
+def _reference_vectors(table, m, z, provenance="dataset", condition="c"):
+    """``selection_vectors`` one participant at a time, in sorted id order:
+    the first participant with a scenario id above m, or with a selection
+    outside 1..z in a complete set, raises; the vectors and the incomplete
+    ids otherwise."""
+    ids, offsets = table.participant_ids, table.offsets.tolist()
+    answers = {
+        pid: dict(zip(table.scenario_ids[a:b].tolist(), table.selections[a:b].tolist()))
+        for pid, a, b in zip(ids, offsets, offsets[1:])
+    }
+    vectors, incomplete = {}, []
+    for pid in sorted(answers):
+        chosen = answers[pid]
+        if max(chosen) > m:
+            raise InvalidInputError(
+                f"{provenance}: participant '{pid}' answers scenario ids "
+                f"{sorted(j for j in chosen if j > m)} outside 1..{m} in condition '{condition}'"
+            )
+        if len(chosen) == m:
+            vectors[pid] = SelectionVector([chosen[j] for j in range(1, m + 1)], z)
+        else:
+            incomplete.append(pid)
+    return vectors, incomplete
+
+
+def _vectors_outcome(read):
+    try:
+        vectors, incomplete = read()
+    except DataCollectiveError as exc:
+        return type(exc), str(exc)
+    return [(pid, sv.selections.tolist(), sv.z) for pid, sv in vectors.items()], incomplete
+
+
+def test_selection_vectors_match_a_per_participant_reference(tmp_path):
+    """On generated files read by both readers: the sorted id order, the
+    incomplete participants, a participant outside 1..m among the others,
+    and a complete participant with a selection above z before it, which
+    must raise first."""
+    rng = np.random.default_rng(20261020)
+    path = tmp_path / "responses.csv"
+    outcomes = set()
+    for case in range(120):
+        m, z = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        rows = []
+        for pid in rng.permutation([f"p{i}" for i in range(int(rng.integers(1, 7)))]):
+            scenarios = rng.permutation(m) + 1
+            kind = rng.integers(6)
+            if kind == 0:  # incomplete
+                scenarios = scenarios[: rng.integers(1, m + 1) - (m > 1)] if m > 1 else []
+            elif kind == 1:  # a scenario id above m
+                scenarios = np.append(scenarios[: rng.integers(0, m + 1)], m + rng.integers(1, 3))
+            for j in scenarios:
+                # ingest reads z + 1 levels, so a selection may be above z
+                level = z + 1 if kind == 2 and rng.random() < 0.5 else rng.integers(1, z + 1)
+                rows.append([pid, "c", str(j), str(level), "0"])
+        if not rows:
+            continue
+        path.write_text(_text(CANONICAL, rows))
+        read = (path, ingest_module.DEFAULT_MAPPING, math.inf, z + 1)
+        blocks, loop = ingest_module._ingest_blocks(*read), ingest_module._ingest_rows(*read)
+        assert blocks is not None
+        for tables in (blocks[0], loop[0]):
+            bundle = ingest_module.DatasetBundle(tables, {})
+            report = ingest_module.IngestReport()
+            got = _vectors_outcome(lambda: (
+                bundle.selection_vectors("c", m, z, report),
+                report.dropped.get("c", {}).get("incomplete", []),
+            ))
+            expected = _vectors_outcome(lambda: _reference_vectors(tables["c"], m, z))
+            assert got == expected, (case, rows)
+            outcomes.add("outside" if "outside" in str(got[1]) else
+                         "selections" if "selections must" in str(got[1]) else "vectors")
+    # every kind of outcome is met
+    assert outcomes == {"vectors", "outside", "selections"}
