@@ -15,7 +15,6 @@ from datacollective.population import (
     extract_groups,
     simulate_population,
 )
-from datacollective.sharing import privacy_score
 
 N = 84
 SEED = 0
@@ -25,21 +24,20 @@ population = generate_population(N, master_seed=SEED)
 print("group counts:", population.group_counts())
 
 simulations = simulate_population(population, steps=STEPS)
+# each participant's mean normalized privacy (0 shares all, 1 shares none),
+# one column per condition
+privacy = np.column_stack([
+    ((simulations[c] - 1) / 4).mean(axis=1) for c in ("intrinsic", "rewarded1", "rewarded2")
+])
+kinds = np.array([p.behavior.kind for p in population.participants])
 
 print("\nmean privacy per group:")
 print(f"{'group':20s} {'unrewarded':>10s} {'rewarded 1':>10s} {'rewarded 2':>10s}")
-by_group = {kind: [] for kind in GROUP_ORDER}
-points = []
-for participant in population.participants:
-    sims = simulations[participant.participant_id]
-    row = [privacy_score(sims[c]) for c in ("intrinsic", "rewarded1", "rewarded2")]
-    by_group[participant.behavior.kind].append(row)
-    points.append((row[0], row[1]))
 for kind in GROUP_ORDER:
-    arr = np.array(by_group[kind])
+    arr = privacy[kinds == kind]
     print(f"{kind:20s} {arr[:,0].mean():10.3f} {arr[:,1].mean():10.3f} {arr[:,2].mean():10.3f}")
 
-result = extract_groups(np.array(points), k=5, seed=SEED)
+result = extract_groups(privacy[:, :2].copy(), k=5, seed=SEED)
 print("\nk-means on (unrewarded, rewarded) privacy pairs:")
 for c, centroid in enumerate(result.centroids):
     size = int((result.labels == c).sum())

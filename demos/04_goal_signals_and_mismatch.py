@@ -17,8 +17,7 @@ from datacollective.population import simulate_population
 population = generate_population(84, master_seed=0)
 simulations = simulate_population(population, steps=192)
 
-intrinsic = [sims["intrinsic"] for sims in simulations.values()]
-signals = build_goal_signals(intrinsic)
+signals = build_goal_signals(simulations["intrinsic"], z=5)
 
 print("goal signals (first 6 scenarios):")
 for signal in signals:
@@ -30,10 +29,7 @@ print("per-scenario share sums:", np.unique(np.round(column_sums, 9)))
 print("\nmean standardized mismatch against the two extreme goals:")
 print(f"{'condition':12s} {'very low':>9s} {'very high':>10s}")
 for condition in ("intrinsic", "rewarded1", "rewarded2"):
-    aggregate = np.sum(
-        [(5 - sims[condition].selections) / 4 for sims in simulations.values()],
-        axis=0,
-    )
+    aggregate = ((5 - simulations[condition]) / 4).sum(axis=0)
     low = mismatch(aggregate, signals[0]).mean_abs
     high = mismatch(aggregate, signals[4]).mean_abs
     print(f"{condition:12s} {low:9.3f} {high:10.3f}")

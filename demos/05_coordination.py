@@ -25,8 +25,9 @@ from datacollective.population import build_portfolios, simulate_population
 
 population = generate_population(84, master_seed=0)
 simulations = simulate_population(population, steps=192)
-portfolios = build_portfolios(simulations)
-signals = build_goal_signals([sims["intrinsic"] for sims in simulations.values()])
+ids = [p.participant_id for p in population.participants]
+portfolios = build_portfolios(ids, simulations, z=5)
+signals = build_goal_signals(simulations["intrinsic"], z=5)
 goal = signals[4]  # very-high preservation
 
 runs = coordinate(portfolios, goal, CostWeights(alpha=0.0, beta=0.0),

@@ -18,9 +18,8 @@ catalog = default_catalog()
 population = generate_population(84, master_seed=0)
 simulations = simulate_population(population, steps=192)
 
-snapshot = ConditionSnapshot.from_selections(
-    "intrinsic", {pid: sims["intrinsic"] for pid, sims in simulations.items()}
-)
+ids = tuple(p.participant_id for p in population.participants)
+snapshot = ConditionSnapshot("intrinsic", ids, simulations["intrinsic"])
 response = scenario_privacy(snapshot)
 
 design = encode(catalog)

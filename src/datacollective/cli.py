@@ -173,8 +173,8 @@ def cmd_simulate(args) -> None:
     steps = int(spec.get("steps", args.steps))
     reward_model = RewardModel(Budget(), args.reward_mode, population.participants[0].behavior.z)
     out = _outdir(args)
-    simulations = simulate_stage(population, steps, catalog, reward_model, out)
-    portfolio_stage(simulations, out)
+    selections = simulate_stage(population, steps, catalog, reward_model, out)
+    portfolio_stage(selections, out)
     print(f"simulated {len(population.participants)} participants -> {out}")
 
 
@@ -186,10 +186,11 @@ def cmd_ingest(args) -> None:
         provenance=args.responses,
     )
     out = _outdir(args)
-    simulations = bundle.selections_by_participant(
-        sorted(bundle.conditions()), catalog.m, args.z, report
-    )
-    export_responses(out / "selections.csv", simulations)
+    snapshots = [
+        bundle.snapshot(condition, catalog.m, args.z, report)
+        for condition in sorted(bundle.conditions())
+    ]
+    export_responses(out / "selections.csv", [s for s in snapshots if s is not None])
     report.write_json(out / "ingest_report.json")
     print(
         f"ingested {report.accepted}/{report.total_rows} rows "
@@ -198,21 +199,21 @@ def cmd_ingest(args) -> None:
 
 
 def _read_selections(path, conditions, m, z):
-    """Selections by participant and condition from one read of a canonical
+    """The snapshot of each condition from one read of a canonical
     selections CSV, for the participants complete in every condition, and
     the ingest report that lists the participants left out."""
     bundle, report = ingest(path, z=z, provenance=str(path))
-    return bundle.complete_selections(conditions, m, z, report), report
+    return bundle.complete_snapshots(conditions, m, z, report), report
 
 
 def cmd_goals(args) -> None:
     catalog = _catalog(args)
-    simulations, report = _read_selections(
+    selections, report = _read_selections(
         args.selections, [args.condition], catalog.m, args.z
     )
     out = _outdir(args)
     report.write_json(out / "ingest_report.json")
-    signals = goals_stage([conds[args.condition] for conds in simulations.values()], out)
+    signals = goals_stage(selections[args.condition], out)
     print(f"wrote {len(signals)} goal signals -> {out}")
 
 
@@ -238,7 +239,7 @@ def cmd_coordinate(args) -> None:
 
 def cmd_evaluate(args) -> None:
     catalog = _catalog(args)
-    simulations, report = _read_selections(args.selections, CONDITIONS, catalog.m, args.z)
+    selections, report = _read_selections(args.selections, CONDITIONS, catalog.m, args.z)
     profiles = {
         p.participant_id: p for p in read_weight_profiles(args.profiles, catalog)
     }
@@ -249,7 +250,8 @@ def cmd_evaluate(args) -> None:
             f"--plans-dir {args.plans_dir}: plans of length {portfolios[0].plan_length}, "
             f"but the catalog has {catalog.m} scenarios"
         )
-    agents, selected = {p.agent_id for p in portfolios}, set(simulations)
+    intrinsic = selections[INTRINSIC]
+    agents, selected = {p.agent_id for p in portfolios}, set(intrinsic.participant_ids)
     if agents != selected:
         raise InvalidInputError(
             f"{args.plans_dir} and {args.selections} cover different participants: "
@@ -259,11 +261,11 @@ def cmd_evaluate(args) -> None:
     coordinated = ConditionSnapshot.from_choices(
         "coordinated", portfolios, read_run_choices(args.runs_json), args.z
     )
-    signals = build_goal_signals([conds[INTRINSIC] for conds in simulations.values()])
+    signals = build_goal_signals(intrinsic.selections[0], intrinsic.z)
     out = _outdir(args)
     report.write_json(out / "ingest_report.json")
     reward_model = RewardModel(Budget(), args.reward_mode, args.z)
-    metrics_stage(simulations, profiles, coordinated, signals, catalog, reward_model, out)
+    metrics_stage(selections, profiles, coordinated, signals, catalog, reward_model, out)
     print(f"evaluation reports -> {out}")
 
 

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, csv_rows, open_text
-from .sharing import SelectionVector
 
 LEVEL_NAMES = ("very_low", "low", "medium", "high", "very_high")
 
@@ -40,6 +39,8 @@ class GoalSignal:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.level < 1:
+            raise InvalidInputError(f"goal level {self.level} is below 1")
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
@@ -58,23 +59,18 @@ class MismatchReport:
     rmse: float
 
 
-def build_goal_signals(intrinsic: Sequence[SelectionVector]) -> list[GoalSignal]:
-    """One goal signal per sharing level from unrewarded selections.
+def build_goal_signals(selections: np.ndarray, z: int) -> list[GoalSignal]:
+    """One goal signal per sharing level from unrewarded selections, an
+    (n, m) block of levels in 1..z.
 
     Signal o holds, per scenario, the fraction of participants whose
     unrewarded choice was level o; the z signals sum to 1 per scenario.
     """
-    if not intrinsic:
+    n = len(selections)
+    if n == 0:
         raise InvalidInputError("need at least one participant")
-    z = intrinsic[0].z
-    m = intrinsic[0].m
-    for sv in intrinsic:
-        if sv.z != z or sv.m != m:
-            raise InvalidInputError("selection vectors disagree in shape")
-    stacked = np.stack([sv.selections for sv in intrinsic])
-    n = stacked.shape[0]
     return [
-        GoalSignal(level=o, values=np.count_nonzero(stacked == o, axis=0) / n)
+        GoalSignal(level=o, values=np.count_nonzero(selections == o, axis=0) / n)
         for o in range(1, z + 1)
     ]
 

@@ -24,14 +24,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import IngestError, InvalidInputError, open_text, read_json_object
-from .sharing import ScenarioCatalog, SelectionVector, WeightProfile, read_weight_profiles
+from .metrics import ConditionSnapshot
+from .sharing import ScenarioCatalog, WeightProfile, read_weight_profiles
 from .textformat import csv_field, is_file_stem
 
 REQUIRED_COLUMNS = ("participant_id", "condition", "scenario_id", "selection")
@@ -133,16 +134,17 @@ class DatasetBundle:
     def conditions(self) -> set[str]:
         return set(self.tables)
 
-    def selection_vectors(
+    def snapshot(
         self, condition: str, m: int, z: int = 5, report: IngestReport | None = None
-    ) -> dict[str, SelectionVector]:
-        """Per-participant vectors for one condition, in sorted id order;
-        participants with an incomplete set of scenarios are skipped, and
-        recorded as ``incomplete`` in ``report`` if one is given. A scenario
-        id above m raises, since the archive and the catalog then disagree."""
+    ) -> ConditionSnapshot | None:
+        """One condition's selections, one row per participant with a
+        complete set of scenarios, in sorted id order; ``None`` when no
+        participant completes it. The others are skipped, and recorded as
+        ``incomplete`` in ``report`` if one is given. A scenario id above m
+        raises, since the archive and the catalog then disagree."""
         table = self.tables.get(condition)
         if table is None:
-            return {}
+            return None
         ids, offsets = table.participant_ids, table.offsets
         order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
         # ids below 1 never get past ingest
@@ -157,7 +159,9 @@ class DatasetBundle:
         block = np.empty((len(complete), m), dtype=np.intp)
         block[np.arange(len(complete))[:, None], columns] = table.selections[rows]
         # a row before the one outside 1..m that breaks a rule raises first
-        vectors = dict(zip([ids[i] for i in complete], SelectionVector.rows(block, z)))
+        snapshot = ConditionSnapshot(
+            condition, tuple(ids[i] for i in complete), block, z
+        ) if len(complete) else None
         if cut < len(order):
             i = order[cut]
             answered = table.scenario_ids[offsets[i]:offsets[i + 1]].tolist()
@@ -168,46 +172,42 @@ class DatasetBundle:
             )
         if report is not None:
             report.drop(condition, "incomplete", [ids[i] for i in kept[~full]])
-        return vectors
+        return snapshot
 
-    def selections_by_participant(
+    def complete_snapshots(
         self, conditions: Sequence[str], m: int, z: int = 5,
         report: IngestReport | None = None,
-    ) -> dict[str, dict[str, SelectionVector]]:
-        """``selection_vectors`` of each of ``conditions``, by participant and
-        condition; a participant appears under the conditions it completed."""
-        by_participant: dict[str, dict[str, SelectionVector]] = {}
-        for condition in conditions:
-            for pid, sv in self.selection_vectors(condition, m, z, report).items():
-                by_participant.setdefault(pid, {})[condition] = sv
-        return by_participant
-
-    def complete_selections(
-        self, conditions: Sequence[str], m: int, z: int = 5,
-        report: IngestReport | None = None,
-    ) -> dict[str, dict[str, SelectionVector]]:
-        """Vectors by participant and condition, for the participants with a
-        complete set of scenarios in every one of ``conditions``. With a
-        ``report``, a participant left out is recorded under each condition:
-        ``incomplete`` where its set is incomplete, ``incomplete_elsewhere``
-        where it is complete but another condition's is not."""
-        by_participant = self.selections_by_participant(conditions, m, z, report)
-        complete = {
-            pid: conds for pid, conds in by_participant.items()
-            if len(conds) == len(conditions)
-        }
+    ) -> dict[str, ConditionSnapshot]:
+        """The ``snapshot`` of each of ``conditions``, cut to the participants
+        with a complete set of scenarios in every one, so all list the same
+        participants in the same order. With a ``report``, a participant left
+        out is recorded under each condition: ``incomplete`` where its set is
+        incomplete, ``incomplete_elsewhere`` where it is complete but another
+        condition's is not."""
+        snapshots = {c: self.snapshot(c, m, z, report) for c in conditions}
+        ids = {c: () if s is None else s.participant_ids for c, s in snapshots.items()}
+        common = set.intersection(*map(set, ids.values()))
         if report is not None:
-            for condition in conditions:
+            # in the order participants first appear, condition by condition
+            seen = dict.fromkeys(chain.from_iterable(ids.values()))
+            for condition, have in ids.items():
+                have = set(have)
                 report.drop(condition, "incomplete_elsewhere", [
-                    pid for pid, conds in by_participant.items()
-                    if condition in conds and pid not in complete
+                    pid for pid in seen if pid in have and pid not in common
                 ])
-        if not complete:
+        if not common:
             raise InvalidInputError(
                 f"{self.provenance or 'dataset'}: no participant answers every "
                 f"scenario of {', '.join(conditions)}"
             )
-        return complete
+        for condition, snapshot in snapshots.items():
+            keep = np.fromiter(map(common.__contains__, snapshot.participant_ids), bool)
+            if not keep.all():
+                snapshots[condition] = ConditionSnapshot(
+                    condition, tuple(compress(snapshot.participant_ids, keep)),
+                    snapshot.selections[:, keep], z,
+                )
+        return snapshots
 
 
 def load_mapping(path: str | Path | None) -> dict:
@@ -577,28 +577,28 @@ def _timestamp(text: str) -> float:
     return float(text) if text.strip() else 0.0
 
 
-def export_responses(
-    path: str | Path,
-    simulations: Mapping[str, Mapping[str, SelectionVector]],
-) -> None:
-    """Write simulated selections in the canonical response schema as UTF-8
-    CSV, byte for byte what ``csv.writer`` writes, so a round trip through
-    ingest reproduces them exactly. Each participant's rows in a condition
-    are one join of its quoted id and condition with ``,scenario,selection,0``
-    tails, formatted once per file for each vector size and level count."""
+def export_responses(path: str | Path, snapshots: Iterable[ConditionSnapshot]) -> None:
+    """Write selections (each snapshot's first repetition, labelled with the
+    snapshot's label as the condition) in the canonical response schema as
+    UTF-8 CSV, sorted by participant id and then condition: byte for byte
+    what ``csv.writer`` writes, so a round trip through ingest reproduces
+    them exactly. Each participant's rows in a condition are one join of its
+    quoted id and condition with ``,scenario,selection,0`` tails, looked up
+    from one table per vector size and level count."""
     tails: dict[tuple[int, int], np.ndarray] = {}
+    groups = []
+    for snapshot in snapshots:
+        m, z = snapshot.m, snapshot.z
+        if (m, z) not in tails:
+            tails[m, z] = np.array([
+                f",{j},{s},0\r\n" for j in range(1, m + 1) for s in range(1, z + 1)
+            ], dtype=object)
+        rows = tails[m, z][np.arange(0, m * z, z) + snapshot.selections[0] - 1]
+        groups += zip(snapshot.participant_ids, repeat(snapshot.label), rows)
+    groups.sort(key=lambda group: group[:2])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("participant_id,condition,scenario_id,selection,timestamp\r\n")
-        for pid in sorted(simulations):
-            field = csv_field(pid) + ","
-            for condition in sorted(simulations[pid]):
-                sv = simulations[pid][condition]
-                m, z = sv.m, sv.z
-                if (m, z) not in tails:
-                    tails[m, z] = np.array([
-                        f",{j},{s},0\r\n" for j in range(1, m + 1) for s in range(1, z + 1)
-                    ], dtype=object)
-                # every row starts with the same id and condition
-                lead = field + csv_field(condition)
-                rows = tails[m, z][np.arange(0, m * z, z) + sv.selections - 1]
-                fh.write(lead + lead.join(rows.tolist()))
+        for pid, condition, rows in groups:
+            # every row starts with the same id and condition
+            lead = csv_field(pid) + "," + csv_field(condition)
+            fh.write(lead + lead.join(rows.tolist()))

@@ -22,7 +22,7 @@ from .coordination import CoordinationRun, PlanPortfolio
 from .errors import InvalidInputError
 from .goals import GoalSignal, mismatch
 from .population import INTRINSIC
-from .sharing import RewardModel, ScenarioCatalog, SelectionVector, WeightProfile
+from .sharing import RewardModel, ScenarioCatalog, WeightProfile, check_selections
 
 RECOVERY_EPS = 1e-9
 
@@ -32,8 +32,10 @@ class ConditionSnapshot:
     """Sharing levels for one condition.
 
     ``selections`` has shape (repetitions, participants, m); plain conditions
-    use a single repetition. ``plan_labels`` (repetitions, participants)
-    records which portfolio plan each coordinated choice came from.
+    use a single repetition, and a 2-D (participants, m) block is read as
+    one. Every row obeys ``SelectionVector``'s rules, checked once on the
+    whole block. ``plan_labels`` (repetitions, participants) records which
+    portfolio plan each coordinated choice came from.
     """
 
     label: str
@@ -51,29 +53,11 @@ class ConditionSnapshot:
             raise InvalidInputError("selections must be (repetitions, participants, m)")
         if sel.shape[1] != len(self.participant_ids):
             raise InvalidInputError("participant ids do not match selections")
-        if np.any(sel < 1) or np.any(sel > self.z):
-            raise InvalidInputError(f"levels must lie in 1..{self.z}")
+        check_selections(sel, self.z, ndim=3)
 
     @property
     def m(self) -> int:
         return int(self.selections.shape[2])
-
-    @classmethod
-    def from_selections(
-        cls,
-        label: str,
-        selections: Mapping[str, SelectionVector] | Sequence[tuple[str, SelectionVector]],
-    ) -> "ConditionSnapshot":
-        items = list(selections.items()) if isinstance(selections, Mapping) else list(selections)
-        if not items:
-            raise InvalidInputError("snapshot needs at least one participant")
-        z = items[0][1].z
-        return cls(
-            label=label,
-            participant_ids=tuple(pid for pid, _ in items),
-            selections=np.stack([sv.selections for _, sv in items])[None, :, :],
-            z=z,
-        )
 
     @classmethod
     def from_choices(

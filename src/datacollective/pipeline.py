@@ -125,11 +125,6 @@ class ExperimentConfig:
                 raise InvalidInputError(f"{path}: '{key}' must be {kind}, not {value!r}")
         return cls(**data)
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
     def experiment_dict(self) -> dict:
         """Config fields that define the experiment; where the artifacts land
         is not part of the experiment identity."""
@@ -202,14 +197,12 @@ def run_pipeline(config: ExperimentConfig) -> Path:
     catalog = config.catalog()
     reward_model = config.reward_model()
 
-    simulations, profiles = _stage(
+    selections, profiles = _stage(
         "ingest" if config.responses_path else "simulate",
         lambda: _collect_selections(config, catalog, reward_model, out),
     )
-    goal_signals = _stage(
-        "goals", lambda: goals_stage([conds[INTRINSIC] for conds in simulations.values()], out)
-    )
-    portfolios = _stage("portfolios", lambda: portfolio_stage(simulations, out))
+    goal_signals = _stage("goals", lambda: goals_stage(selections[INTRINSIC], out))
+    portfolios = _stage("portfolios", lambda: portfolio_stage(selections, out))
     runs = _stage(
         "coordinate",
         lambda: coordinate_stage(
@@ -222,7 +215,7 @@ def run_pipeline(config: ExperimentConfig) -> Path:
     snapshots = _stage(
         "metrics",
         lambda: metrics_stage(
-            simulations, profiles,
+            selections, profiles,
             ConditionSnapshot.from_runs("coordinated", runs, portfolios, z=config.z),
             goal_signals, catalog, reward_model, out, provenance=config.responses_path,
         ),
@@ -248,7 +241,8 @@ def _stage(name: str, thunk):
 
 
 def _collect_selections(config, catalog, reward_model, out: Path):
-    """Simulate a synthetic population, or ingest the configured dataset."""
+    """Simulate a synthetic population, or ingest the configured dataset;
+    returns the snapshot of each condition and the weight profiles."""
     if config.responses_path:
         bundle, report = ingest(
             config.responses_path,
@@ -259,20 +253,21 @@ def _collect_selections(config, catalog, reward_model, out: Path):
             provenance=str(config.responses_path),
         )
         try:
-            simulations = bundle.complete_selections(CONDITIONS, catalog.m, config.z, report)
+            selections = bundle.complete_snapshots(CONDITIONS, catalog.m, config.z, report)
         finally:
             report.write_json(out / "ingest_report.json")
-        missing = [pid for pid in simulations if pid not in bundle.profiles]
+        ids = selections[INTRINSIC].participant_ids
+        missing = [pid for pid in ids if pid not in bundle.profiles]
         if missing:
             raise InvalidInputError(f"missing weight profiles for {missing[:5]}")
-        return simulations, bundle.profiles
+        return selections, bundle.profiles
 
     spec = {
         "n": config.n, "mix": config.group_mix, "seed": config.master_seed,
         "z": config.z, "drift_overrides": config.drift_overrides,
     }
     population = population_from_spec(spec, catalog)
-    simulations = simulate_stage(population, config.steps, catalog, reward_model, out)
+    selections = simulate_stage(population, config.steps, catalog, reward_model, out)
     groups = {
         p.participant_id: p.behavior.kind for p in population.participants
     }
@@ -280,40 +275,46 @@ def _collect_selections(config, catalog, reward_model, out: Path):
         json.dumps(groups, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     profiles = {p.participant_id: p.profile for p in population.participants}
-    return simulations, profiles
+    return selections, profiles
 
 
 def simulate_stage(population, steps: int, catalog, reward_model, out: Path):
     """Simulate every condition of a synthetic population and write the
-    selections, the weight profiles and one event log per condition."""
-    simulations = {p.participant_id: {} for p in population.participants}
+    selections, the weight profiles and one event log per condition;
+    returns the snapshot of each condition, rows in participant order."""
+    ids = tuple(p.participant_id for p in population.participants)
+    selections = {}
     for condition in CONDITIONS:
         run = simulate_conditions(
             population.participants, condition, steps, catalog, reward_model,
             contention=population.contention,
         )
-        for participant, selection in zip(population.participants, run.selections):
-            simulations[participant.participant_id][condition] = selection
         write_event_log(out / f"events_{condition}.csv", run.events)
-    export_responses(out / "selections.csv", simulations)
+        selections[condition] = ConditionSnapshot(condition, ids, run.selections, reward_model.z)
+    export_responses(out / "selections.csv", selections.values())
     write_weight_profiles(
         out / "profiles.csv", [p.profile for p in population.participants], catalog
     )
-    return simulations
+    return selections
 
 
-def goals_stage(selections, out: Path):
-    """One goal signal per sharing level from unrewarded selections, each
+def goals_stage(intrinsic: ConditionSnapshot, out: Path):
+    """One goal signal per sharing level from the unrewarded snapshot, each
     written to its own file."""
-    signals = build_goal_signals(selections)
+    signals = build_goal_signals(intrinsic.selections[0], intrinsic.z)
     for signal in signals:
         write_goal_signal(out / f"goal_{level_name(signal.level, len(signals))}.csv", signal)
     return signals
 
 
-def portfolio_stage(simulations, out: Path):
-    """Every participant's candidate plans, written one file per agent."""
-    portfolios = build_portfolios(simulations)
+def portfolio_stage(selections, out: Path):
+    """Every participant's candidate plans from the snapshot of each
+    condition, written one file per agent."""
+    intrinsic = selections[INTRINSIC]
+    portfolios = build_portfolios(
+        intrinsic.participant_ids, {c: s.selections[0] for c, s in selections.items()},
+        intrinsic.z,
+    )
     write_portfolio_dir(out / "portfolios", portfolios)
     return portfolios
 
@@ -354,21 +355,17 @@ def coordinate_stage(
 
 
 def metrics_stage(
-    simulations, profiles, coordinated, goal_signals, catalog, reward_model, out: Path,
+    selections, profiles, coordinated, goal_signals, catalog, reward_model, out: Path,
     provenance: str | None = None,
 ):
     """Privacy, mismatch, cost, recovery and reinforcement of the three
-    conditions and the coordinated snapshot; returns the snapshots by label.
+    conditions' snapshots and the coordinated one; returns the snapshots by
+    label.
 
     With a ``provenance`` (an ingested archive) a comparison report is
     written too.
     """
-    snapshots = {
-        condition: ConditionSnapshot.from_selections(
-            condition, {pid: conds[condition] for pid, conds in simulations.items()}
-        )
-        for condition in CONDITIONS
-    }
+    snapshots = {condition: selections[condition] for condition in CONDITIONS}
     snapshots["coordinated"] = coordinated
     ordered = list(snapshots.values())
 

@@ -12,9 +12,11 @@ unrewarded aggregates their scenario shape; without it, goal signals would
 be pure sampling noise.
 
 Populations are generated deterministically from a master seed (numpy PCG64
-streams), and each participant's three conditions yield a plan portfolio for
-coordination. Group extraction from (intrinsic, rewarded) privacy pairs uses
-seeded k-means++ with Lloyd iterations.
+streams). A condition's selections travel as one (n, m) block of levels,
+rows in participant order, and the three conditions' blocks give every
+participant a plan portfolio for coordination. Group extraction from
+(intrinsic, rewarded) privacy pairs uses seeded k-means++ with Lloyd
+iterations.
 
 The dilemma loop runs in ``simulate_conditions``, which steps all participants
 of a condition in lockstep on arrays (one reward table, one selection matrix,
@@ -45,13 +47,7 @@ import numpy as np
 from .coordination import PlanPortfolio
 from .errors import IncompletePortfolioError, InvalidInputError, read_json_object
 from .retrieval import EventLog
-from .sharing import (
-    RewardModel,
-    ScenarioCatalog,
-    SelectionVector,
-    WeightProfile,
-    default_catalog,
-)
+from .sharing import RewardModel, ScenarioCatalog, WeightProfile, default_catalog
 
 RNG_ALGORITHM = "numpy-pcg64"  # recorded in manifests for portability
 
@@ -361,12 +357,13 @@ class _RawStreams:
 
 @dataclass(frozen=True)
 class ConditionRun:
-    """One condition for a group of participants: selections in participant
-    order, the event log as columns (rows participant-major then by step),
-    and the participants who saturated (nothing left to improve) before the
-    last step with the steps they did not take."""
+    """One condition for a group of participants: the read-only (n, m)
+    selections, rows in participant order, the event log as columns (rows
+    participant-major then by step), and the participants who saturated
+    (nothing left to improve) before the last step with the steps they did
+    not take."""
 
-    selections: tuple[SelectionVector, ...]
+    selections: np.ndarray
     events: EventLog
     saturated: int
     lost_steps: int
@@ -479,8 +476,9 @@ def simulate_conditions(
             "%s: %d of %d participants saturated early, %d steps not taken",
             condition, saturated, n, lost_steps,
         )
+    selections.flags.writeable = False
     return ConditionRun(
-        SelectionVector.rows(selections.copy(), z),
+        selections,
         EventLog(
             tuple(p.participant_id for p in participants), taken,
             goal, scenario_id, option_log, rewards_after, privacy_after,
@@ -526,50 +524,43 @@ def simulate_population(
     catalog: ScenarioCatalog | None = None,
     reward_model: RewardModel | None = None,
     conditions: Sequence[str] = CONDITIONS,
-) -> dict[str, dict[str, SelectionVector]]:
+) -> dict[str, np.ndarray]:
     """Run the requested conditions for every participant.
 
-    Returns {participant_id: {condition: SelectionVector}}. Event logs are
-    dropped here; use simulate_conditions directly when the log matters.
+    Returns {condition: (n, m) selections}, rows in
+    ``population.participants`` order. Event logs are dropped here; use
+    simulate_conditions directly when the log matters.
     """
-    results = {p.participant_id: {} for p in population.participants}
-    for condition in conditions:
-        run = simulate_conditions(
+    return {
+        condition: simulate_conditions(
             population.participants, condition, steps, catalog, reward_model,
             contention=population.contention,
-        )
-        for participant, selection in zip(population.participants, run.selections):
-            results[participant.participant_id][condition] = selection
-    return results
-
-
-def build_portfolio(
-    participant_id: str,
-    conditions: Mapping[str, SelectionVector],
-    required: Sequence[str] = CONDITIONS,
-) -> PlanPortfolio:
-    """Turn a participant's per-condition selections into candidate plans.
-
-    Plan values are normalized shared-data levels (z - s)/(z - 1); the local
-    privacy cost of a plan is the mean of its values.
-    """
-    missing = [c for c in required if c not in conditions]
-    if missing:
-        raise IncompletePortfolioError(
-            f"participant '{participant_id}' lacks conditions: {missing}"
-        )
-    vectors = [conditions[c] for c in required]
-    values = np.array([(sv.z - sv.selections) / (sv.z - 1) for sv in vectors])
-    return PlanPortfolio.from_arrays(participant_id, values, values.mean(axis=1), required)
+        ).selections
+        for condition in conditions
+    }
 
 
 def build_portfolios(
-    simulations: Mapping[str, Mapping[str, SelectionVector]],
+    participant_ids: Sequence[str],
+    selections: Mapping[str, np.ndarray],
+    z: int,
     required: Sequence[str] = CONDITIONS,
 ) -> list[PlanPortfolio]:
+    """Turn every participant's per-condition selections into candidate plans.
+
+    ``selections`` holds one (n, m) block of levels per condition, rows in
+    ``participant_ids`` order. Plan values are normalized shared-data levels
+    (z - s)/(z - 1); the local privacy cost of a plan is the mean of its
+    values.
+    """
+    missing = [c for c in required if c not in selections]
+    if missing:
+        raise IncompletePortfolioError(f"selections lack conditions: {missing}")
+    values = (z - np.stack([selections[c] for c in required], axis=1)) / (z - 1)
+    costs = values.mean(axis=2)
     return [
-        build_portfolio(pid, conditions, required)
-        for pid, conditions in simulations.items()
+        PlanPortfolio.from_arrays(pid, plans, cost, required)
+        for pid, plans, cost in zip(participant_ids, values, costs)
     ]
 
 

@@ -277,25 +277,7 @@ class SelectionVector:
     def __post_init__(self):
         sel = np.asarray(self.selections, dtype=np.intp)
         object.__setattr__(self, "selections", sel)
-        _check_selections(sel, self.z, ndim=1)
-
-    @classmethod
-    def rows(cls, block: np.ndarray, z: int = DEFAULT_LEVELS) -> tuple["SelectionVector", ...]:
-        """``SelectionVector(row, z)`` of each row of an (n, m) block, with
-        the constructor's rules checked once on the whole block; the vectors
-        hold read-only views of the block's rows."""
-        block = np.asarray(block, dtype=np.intp)
-        if block.ndim == 2 and not len(block):
-            return ()
-        _check_selections(block, z, ndim=2)
-        block = block.view()
-        block.flags.writeable = False
-        vectors = []
-        for row in block:
-            vector = cls.__new__(cls)
-            vector.__dict__.update(selections=row, z=z)
-            vectors.append(vector)
-        return tuple(vectors)
+        check_selections(sel, self.z, ndim=1)
 
     @property
     def m(self) -> int:
@@ -310,9 +292,9 @@ class SelectionVector:
         return SelectionVector(sel, self.z)
 
 
-def _check_selections(sel: np.ndarray, z: int, ndim: int) -> None:
-    """``SelectionVector``'s rules on one vector (``ndim`` 1) or on each row
-    of a block (``ndim`` 2)."""
+def check_selections(sel: np.ndarray, z: int, ndim: int) -> None:
+    """``SelectionVector``'s rules on one vector (``ndim`` 1), or on every
+    row of an ``ndim``-dimensional block whose last axis is the scenarios."""
     if z < 2:
         raise InvalidInputError("need at least two data-sharing levels")
     if sel.ndim != ndim or sel.shape[-1] == 0:
@@ -534,13 +516,6 @@ def read_catalog(path: str | Path) -> ScenarioCatalog:
         return enumerate_scenarios(criteria)
     except InvalidInputError as exc:  # no criterion
         raise InvalidInputError(f"{path}: {exc}") from None
-
-
-def write_catalog(path: str | Path, catalog: ScenarioCatalog) -> None:
-    lines = [
-        f"{c.name} = {', '.join(c.elements)}" for c in catalog.criteria
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def profile_csv_header(catalog: ScenarioCatalog) -> list[str]:

@@ -64,14 +64,11 @@ def desk_scale():
     simulations = simulate_population(
         population, steps=192, catalog=catalog, reward_model=reward_model
     )
-    intrinsic = [simulations[p.participant_id]["intrinsic"] for p in population.participants]
-    signals = build_goal_signals(intrinsic)
-    portfolios = build_portfolios(simulations)
+    ids = tuple(p.participant_id for p in population.participants)
+    signals = build_goal_signals(simulations["intrinsic"], reward_model.z)
+    portfolios = build_portfolios(ids, simulations, reward_model.z)
     snapshots = {
-        condition: ConditionSnapshot.from_selections(
-            condition,
-            {pid: conds[condition] for pid, conds in simulations.items()},
-        )
+        condition: ConditionSnapshot(condition, ids, simulations[condition], reward_model.z)
         for condition in CONDITIONS
     }
     profiles = {p.participant_id: p.profile for p in population.participants}
@@ -166,10 +163,8 @@ def test_goal_signal_partition_of_unity():
     for _ in range(100):
         n = int(rng.integers(1, 40))
         m = int(rng.integers(2, 80))
-        selections = [
-            SelectionVector(rng.integers(1, 6, size=m)) for _ in range(n)
-        ]
-        signals = build_goal_signals(selections)
+        selections = np.array([rng.integers(1, 6, size=m) for _ in range(n)])
+        signals = build_goal_signals(selections, 5)
         totals = np.sum([s.values for s in signals], axis=0)
         worst = max(worst, float(np.max(np.abs(totals - 1.0))))
     report(
@@ -414,16 +409,8 @@ def test_dataset_reproduction():
         dataset / "responses.csv", dataset / "profiles.csv", mapping, catalog
     )
     reward_model = RewardModel()
-    snapshots = {}
-    simulations = {}
-    for condition in CONDITIONS:
-        vectors = bundle.selection_vectors(condition, catalog.m)
-        snapshots[condition] = ConditionSnapshot.from_selections(condition, vectors)
-        for pid, sv in vectors.items():
-            simulations.setdefault(pid, {})[condition] = sv
-    simulations = {
-        pid: conds for pid, conds in simulations.items() if len(conds) == 3
-    }
+    snapshots = {c: bundle.snapshot(c, catalog.m) for c in CONDITIONS}
+    complete = bundle.complete_snapshots(CONDITIONS, catalog.m)
     profiles = bundle.profiles
 
     costs = {
@@ -434,10 +421,11 @@ def test_dataset_reproduction():
     assert costs["rewarded1"] == pytest.approx(960.18, rel=0.01)
     assert costs["rewarded2"] == pytest.approx(905.14, rel=0.01)
 
-    portfolios = build_portfolios(simulations)
-    signals = build_goal_signals(
-        [conds["intrinsic"] for conds in simulations.values()]
+    intrinsic = complete["intrinsic"]
+    portfolios = build_portfolios(
+        intrinsic.participant_ids, {c: s.selections[0] for c, s in complete.items()}, 5
     )
+    signals = build_goal_signals(intrinsic.selections[0], 5)
     runs = coordinate(portfolios, signals[4], CostWeights(), iterations=50,
                       repetitions=10, seed=0)
     coordinated = ConditionSnapshot.from_runs("coordinated", runs, portfolios)

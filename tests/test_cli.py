@@ -306,6 +306,18 @@ def test_goal_file_without_values(small_run, tmp_path, capsys):
     ], capsys, f"error: {goal}: goal signal must be a non-empty vector\n")
 
 
+@pytest.mark.parametrize("level", ["0", "-2"])
+def test_goal_level_below_one(small_run, tmp_path, capsys, level):
+    goal = tmp_path / "goal.csv"
+    goal.write_text("scenario_id,value\n" + "".join(f"{j},0.5\n" for j in range(1, 65)))
+    coord = tmp_path / "coord"
+    _assert_one_error([
+        "coordinate", "--plans-dir", str(small_run / "portfolios"),
+        "--goal-file", str(goal), "--goal-level", level, "--out", str(coord),
+    ], capsys, f"error: goal level {level} is below 1\n")
+    assert not (coord / "coordination_summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "text, where, message",
     [
@@ -711,3 +723,62 @@ def test_fuzzed_selections(small_run, small_coordination, tmp_path, capsys):
             assert report["total_rows"] == (
                 report["accepted"] + report["duplicates"] + report["rejected"]
             ), name
+
+
+GUARD_SCRIPT = """
+import sys
+from pathlib import Path
+from datacollective.cli import main
+from datacollective.pipeline import ExperimentConfig, run_pipeline
+from datacollective.sharing import SelectionVector
+
+def refuse(cls, *args, **kwargs):
+    raise AssertionError("a per-participant SelectionVector was built")
+
+SelectionVector.__new__ = refuse
+tmp = Path(sys.argv[1])
+stages = dict(n=6, steps=64, iterations=3, repetitions=2)
+sim = run_pipeline(ExperimentConfig(**stages, output_dir=str(tmp / "sim")))
+run_pipeline(ExperimentConfig(
+    **stages, responses_path=str(sim / "selections.csv"),
+    profiles_path=str(sim / "profiles.csv"), output_dir=str(tmp / "ingested"),
+))
+cli = tmp / "cli"
+for argv in (
+    ["simulate", "--n", "6", "--steps", "64", "--out", str(cli / "sim")],
+    ["ingest", "--responses", str(cli / "sim" / "selections.csv"), "--out", str(cli / "ingest")],
+    ["goals", "--selections", str(cli / "ingest" / "selections.csv"), "--out", str(cli / "goals")],
+    ["coordinate", "--plans-dir", str(cli / "sim" / "portfolios"),
+     "--goal-file", str(cli / "goals" / "goal_very_high.csv"),
+     "--iterations", "3", "--repetitions", "2", "--out", str(cli / "coord")],
+    ["evaluate", "--selections", str(cli / "ingest" / "selections.csv"),
+     "--profiles", str(cli / "sim" / "profiles.csv"),
+     "--runs-json", str(cli / "coord" / "coordination_runs.json"),
+     "--plans-dir", str(cli / "sim" / "portfolios"), "--out", str(cli / "eval")],
+):
+    assert main(argv) == 0, argv
+try:
+    SelectionVector([1, 2])
+except AssertionError:
+    print("guarded")
+"""
+
+
+def test_selections_stay_blocks_from_kernel_and_reader_to_writers(tmp_path):
+    """No ``SelectionVector`` is built between the dilemma kernel or the
+    selections reader and the writers: each condition's selections travel
+    as one block, in ``run_pipeline`` on both paths and in the CLI chain.
+    It runs in its own process, since a class's ``__new__`` cannot be put
+    back once replaced."""
+    src = Path(datacollective.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", GUARD_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "guarded"
+    assert (tmp_path / "cli" / "eval" / "evaluation.json").is_file()

@@ -11,23 +11,18 @@ from datacollective.goals import (
     standardize,
     write_goal_signal,
 )
-from datacollective.sharing import SelectionVector
 from helpers import standardize_oracle
-
-
-def make(selections, z=5):
-    return SelectionVector(np.asarray(selections), z)
 
 
 class TestGoalSignals:
     def test_unanimous_choice(self):
-        participants = [make([5, 1, 3]) for _ in range(3)]
-        signals = build_goal_signals(participants)
+        signals = build_goal_signals(np.array([[5, 1, 3]] * 3), 5)
+        assert len(signals) == 5
         assert signals[4].values[0] == 1.0
         assert all(signals[o].values[0] == 0.0 for o in range(4))
 
     def test_even_split(self):
-        signals = build_goal_signals([make([1, 1]), make([5, 1])])
+        signals = build_goal_signals(np.array([[1, 1], [5, 1]]), 5)
         assert signals[0].values[0] == 0.5
         assert signals[4].values[0] == 0.5
 
@@ -35,14 +30,14 @@ class TestGoalSignals:
         rng = np.random.default_rng(21)
         for _ in range(20):
             n = int(rng.integers(1, 30))
-            sels = [make(rng.integers(1, 6, size=64)) for _ in range(n)]
-            signals = build_goal_signals(sels)
+            sels = np.array([rng.integers(1, 6, size=64) for _ in range(n)])
+            signals = build_goal_signals(sels, 5)
             total = np.sum([s.values for s in signals], axis=0)
             assert total == pytest.approx(np.ones(64), abs=1e-9)
 
     def test_empty_population_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_goal_signals([])
+            build_goal_signals(np.zeros((0, 64), dtype=int), 5)
 
     def test_level_names(self):
         assert level_name(1) == "very_low"
@@ -52,6 +47,11 @@ class TestGoalSignals:
     def test_signal_bounds_enforced(self):
         with pytest.raises(InvalidInputError):
             GoalSignal(1, np.array([0.2, 1.4]))
+
+    @pytest.mark.parametrize("level", [0, -2])
+    def test_level_below_one_rejected(self, level):
+        with pytest.raises(InvalidInputError, match=f"goal level {level} is below 1"):
+            GoalSignal(level, np.array([0.2, 0.4]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad):

@@ -284,7 +284,8 @@ def test_event_logs_replay(tmp_path):
     profiles = read_weight_profiles(root / "profiles.csv", catalog)
     rmax = {p.participant_id: reward_model.max_rewards(p, catalog) for p in profiles}
     for condition in CONDITIONS:
-        selections = bundle.selection_vectors(condition, catalog.m, z)
+        snapshot = bundle.snapshot(condition, catalog.m, z)
+        selections = dict(zip(snapshot.participant_ids, snapshot.selections[0]))
         blocks = [
             (pid, list(rows))
             for pid, rows in groupby(
@@ -303,4 +304,4 @@ def test_event_logs_replay(tmp_path):
                 assert e.privacy_after == float(format(privacy, ".12g"))
                 rewards = reward_model.option_rewards(rmax[pid], levels).sum()
                 assert e.rewards_after == pytest.approx(rewards, rel=1e-9, abs=0)
-            assert np.array_equal(levels, selections[pid].selections)
+            assert np.array_equal(levels, selections[pid])

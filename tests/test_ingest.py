@@ -10,6 +10,7 @@ import pytest
 from datacollective import ingest as ingest_module
 from datacollective.errors import DataCollectiveError, IngestError, InvalidInputError
 from datacollective.ingest import export_responses, ingest, load_mapping
+from datacollective.metrics import ConditionSnapshot
 from datacollective.pipeline import ExperimentConfig, run_pipeline
 from datacollective.population import generate_population, simulate_population
 from datacollective.sharing import (
@@ -35,14 +36,20 @@ def table_lists(table):
             table.selections.tolist())
 
 
-def simulated_table(simulations, condition):
-    """``table_lists`` of the table that exported ``simulations`` read back
-    as in ``condition``: ids in sorted order, scenarios 1..m in order."""
-    pids = sorted(simulations)
-    vectors = [simulations[pid][condition] for pid in pids]
-    offsets = np.cumsum([0] + [sv.m for sv in vectors]).tolist()
-    return (pids, offsets, [j for sv in vectors for j in range(1, sv.m + 1)],
-            [int(s) for sv in vectors for s in sv.selections])
+def simulated_table(snapshots, condition):
+    """``table_lists`` of the table that the exported snapshot of
+    ``condition`` reads back as: ids in sorted order, scenarios 1..m in
+    order."""
+    snapshot = snapshots[condition]
+    ids, m = snapshot.participant_ids, snapshot.m
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return ([ids[i] for i in order], list(range(0, (len(ids) + 1) * m, m)),
+            list(range(1, m + 1)) * len(ids), snapshot.selections[0][order].ravel().tolist())
+
+
+def rows_of(snapshot):
+    """A snapshot's participants with their levels, in its order."""
+    return list(zip(snapshot.participant_ids, snapshot.selections[0].tolist()))
 
 
 class TestIngest:
@@ -67,8 +74,7 @@ class TestIngest:
         )
         bundle, report = ingest(path)
         assert (report.accepted, report.duplicates) == (1, 2)
-        vectors = bundle.selection_vectors("intrinsic", 1)
-        assert vectors["p1"].selections.tolist() == [4]
+        assert rows_of(bundle.snapshot("intrinsic", 1)) == [("p1", [4])]
 
     def test_duplicate_is_not_also_accepted(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -86,8 +92,7 @@ class TestIngest:
         assert (report.accepted, report.duplicates, report.rejected) == (2, 1, 1)
         assert report.total_rows == report.accepted + report.duplicates + report.rejected
         # the two accepted keys hold the latest answers of scenarios 1 and 2
-        vectors = bundle.selection_vectors("intrinsic", 2)
-        assert vectors["p1"].selections.tolist() == [4, 3]
+        assert rows_of(bundle.snapshot("intrinsic", 2)) == [("p1", [4, 3])]
 
     def test_row_errors_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -163,9 +168,8 @@ class TestIngest:
         rows += [["p2", "intrinsic", 1, 3, 0]]  # incomplete participant
         write_rows(path, CANONICAL, rows)
         bundle, _ = ingest(path)
-        vectors = bundle.selection_vectors("intrinsic", 64)
-        assert set(vectors) == {"p1"}
-        assert vectors["p1"].selections.tolist() == [3] * 64
+        assert rows_of(bundle.snapshot("intrinsic", 64)) == [("p1", [3] * 64)]
+        assert bundle.snapshot("rewarded1", 64) is None
 
     def test_dropped_participants_are_reported(self, tmp_path):
         path = tmp_path / "responses.csv"
@@ -178,8 +182,11 @@ class TestIngest:
         rows.remove(["p2", "intrinsic", 7, 3, 0])  # p2 is incomplete in intrinsic
         write_rows(path, CANONICAL, rows)
         bundle, report = ingest(path)
-        selections = bundle.complete_selections(("intrinsic", "rewarded1"), 64, report=report)
-        assert set(selections) == {"p1"}
+        snapshots = bundle.complete_snapshots(("intrinsic", "rewarded1"), 64, report=report)
+        assert list(snapshots) == ["intrinsic", "rewarded1"]
+        for condition, snapshot in snapshots.items():
+            assert snapshot.label == condition
+            assert rows_of(snapshot) == [("p1", [3] * 64)]
         assert report.dropped == {
             "intrinsic": {"incomplete": ["p2"]},
             "rewarded1": {"incomplete_elsewhere": ["p2"]},
@@ -195,48 +202,51 @@ class TestIngest:
 class TestRoundTrip:
     def test_simulated_population_round_trips_exactly(self, tmp_path):
         population = generate_population(5, master_seed=13)
-        simulations = simulate_population(population, steps=80)
+        ids = tuple(p.participant_id for p in population.participants)
+        snapshots = [
+            ConditionSnapshot(condition, ids, block)
+            for condition, block in simulate_population(population, steps=80).items()
+        ]
         path = tmp_path / "export.csv"
-        export_responses(path, simulations)
+        export_responses(path, snapshots)
         bundle, report = ingest(path, catalog=default_catalog())
         assert report.rejected == 0
-        for condition in ("intrinsic", "rewarded1", "rewarded2"):
-            vectors = bundle.selection_vectors(condition, 64)
-            assert set(vectors) == set(simulations)
-            for pid, sv in vectors.items():
-                assert np.array_equal(
-                    sv.selections, simulations[pid][condition].selections
-                )
+        for snapshot in snapshots:
+            read = bundle.snapshot(snapshot.label, 64)
+            assert read.participant_ids == ids
+            assert np.array_equal(read.selections, snapshot.selections)
 
     def test_export_matches_the_csv_writer(self, tmp_path):
-        """Ids and condition names that need quoting or are not ASCII, and
-        vectors of two lengths and two level counts, in the bytes
-        ``csv.writer`` writes."""
+        """Ids and condition names that need quoting or are not ASCII,
+        snapshots of two lengths and two level counts, with ids out of order
+        and a condition that lists only some of them, in the bytes
+        ``csv.writer`` writes: rows sorted by id, then by condition."""
         rng = np.random.default_rng(3)
-        awkward = ['a,"b"\r\nc', "100%", "pé01", "p%d", "plain"]
-        simulations = {
-            pid: {
-                condition: SelectionVector(rng.integers(1, z + 1, size=m), z)
-                for condition, m, z in [
-                    ("intrinsic", 64, 5), ("re,warded", 64, 3), ("ré\"2", 7, 5)
-                ]
-            }
-            for pid in awkward
+        awkward = ('a,"b"\r\nc', "100%", "pé01", "p%d", "plain")
+        snapshots = {
+            condition: ConditionSnapshot(
+                condition, ids, rng.integers(1, z + 1, size=(len(ids), m)), z
+            )
+            for condition, ids, m, z in [
+                ("intrinsic", awkward, 64, 5), ("re,warded", awkward, 64, 3),
+                ("ré\"2", awkward[1:4], 7, 5),
+            ]
         }
         path, expected = tmp_path / "export.csv", tmp_path / "expected.csv"
-        export_responses(path, simulations)
+        export_responses(path, snapshots.values())
         with open(expected, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CANONICAL)
-            for pid in sorted(simulations):
-                for condition in sorted(simulations[pid]):
-                    for j, s in enumerate(simulations[pid][condition].selections, start=1):
-                        writer.writerow([pid, condition, j, int(s), 0])
+            for pid in sorted(awkward):
+                for condition in sorted(snapshots):
+                    levels = dict(rows_of(snapshots[condition])).get(pid, [])
+                    for j, s in enumerate(levels, start=1):
+                        writer.writerow([pid, condition, j, s, 0])
         assert path.read_bytes() == expected.read_bytes()
         bundle, report = ingest(path)
         assert report.rejected == 0
-        for condition in simulations["plain"]:
-            assert table_lists(bundle.tables[condition]) == simulated_table(simulations, condition)
+        for condition in snapshots:
+            assert table_lists(bundle.tables[condition]) == simulated_table(snapshots, condition)
 
 
 # One row for each rejection message, plus the rows the parser must accept:
@@ -309,33 +319,27 @@ CONTRACT_REPORT = {
     "dropped": {"rewarded1": {"incomplete": {"count": 1, "first_ids": ["p1"]}}},
 }
 
-# Sorted ids per condition; a participant first seen in a later condition
-# is appended.
-CONTRACT_SELECTIONS = [
-    ("p1", {"intrinsic": [2, 3, 4, 5]}),
-    ("p2", {"intrinsic": [2, 3, 4, 5]}),
-    ("p4", {"later": [3, 3, 3, 3]}),
-    ("Doe, Jane", {"rewarded1": [1, 2, 3, 4]}),
-    ("p3", {"rewarded1": [1, 3, 1, 1]}),
-]
+# Each condition's complete participants in sorted id order.
+CONTRACT_SELECTIONS = {
+    "intrinsic": [("p1", [2, 3, 4, 5]), ("p2", [2, 3, 4, 5])],
+    "later": [("p4", [3, 3, 3, 3])],
+    "rewarded1": [("Doe, Jane", [1, 2, 3, 4]), ("p3", [1, 3, 1, 1])],
+}
 
 
 def test_row_level_contract(tmp_path):
     """Every accepted and rejected row of a mapped archive: the whole
-    ingest report and every selection vector, in order."""
+    ingest report and every condition's selections, in order."""
     catalog = enumerate_scenarios([Criterion("a", ("x", "y")), Criterion("b", ("u", "v"))])
     path = tmp_path / "responses.csv"
     path.write_text(CONTRACT_CSV)
     bundle, report = ingest(path, mapping=CONTRACT_MAPPING, catalog=catalog)
     conditions = sorted(bundle.conditions())
     assert conditions == ["intrinsic", "later", "rewarded1"]
-    selections = bundle.selections_by_participant(conditions, catalog.m, 5, report)
+    snapshots = {c: bundle.snapshot(c, catalog.m, 5, report) for c in conditions}
     report.write_json(tmp_path / "ingest_report.json")
     assert json.loads((tmp_path / "ingest_report.json").read_text()) == CONTRACT_REPORT
-    assert [
-        (pid, {c: sv.selections.tolist() for c, sv in by_condition.items()})
-        for pid, by_condition in selections.items()
-    ] == CONTRACT_SELECTIONS
+    assert {c: rows_of(s) for c, s in snapshots.items()} == CONTRACT_SELECTIONS
 
 
 
@@ -631,13 +635,10 @@ def test_block_reader_matches_the_row_loop_on_generated_files(tmp_path):
 
 
 def _canonical_simulations(rng, n, m=64, z=5):
-    return {
-        f"p{i:04d}": {
-            condition: SelectionVector(rng.integers(1, z + 1, size=m), z)
-            for condition in ("intrinsic", "rewarded1", "rewarded2")
-        }
-        for i in range(n)
-    }
+    conditions = ("intrinsic", "rewarded1", "rewarded2")
+    ids = tuple(f"p{i:04d}" for i in range(n))
+    blocks = rng.integers(1, z + 1, size=(len(conditions), n, m))
+    return {c: ConditionSnapshot(c, ids, block, z) for c, block in zip(conditions, blocks)}
 
 
 def _refuse(*args):
@@ -648,7 +649,7 @@ def test_exported_and_golden_files_need_no_row_loop(tmp_path, monkeypatch):
     """``export_responses`` output and a pipeline run's own ``selections.csv``
     are read in blocks alone."""
     simulations = _canonical_simulations(np.random.default_rng(5), 40)
-    export_responses(tmp_path / "export.csv", simulations)
+    export_responses(tmp_path / "export.csv", simulations.values())
     run_pipeline(ExperimentConfig(**GOLDEN, output_dir=str(tmp_path / "golden")))
     monkeypatch.setattr(ingest_module, "_ingest_rows", _refuse)
     bundle, report = ingest(tmp_path / "export.csv", catalog=default_catalog())
@@ -667,7 +668,7 @@ def test_block_reader_holds_one_block_at_a_time(tmp_path, monkeypatch):
     below the row loop's: it holds one block's fields at a time, where a
     reader that split the whole file at once would hold every row's."""
     path = tmp_path / "export.csv"
-    export_responses(path, _canonical_simulations(np.random.default_rng(6), 160))
+    export_responses(path, _canonical_simulations(np.random.default_rng(6), 160).values())
 
     def peak(read):
         tracemalloc.start()
@@ -690,7 +691,7 @@ def test_block_reader_holds_one_block_at_a_time(tmp_path, monkeypatch):
 def test_scenario_ids_beyond_int64(tmp_path, catalog):
     """A 25-digit scenario id does not fit the block reader's int64 columns,
     so the row loop reads the file. Without a catalog it keeps the id, and
-    ``selection_vectors`` names it; with one the row is rejected."""
+    ``snapshot`` names it; with one the row is rejected."""
     huge = "1" * 25
     path = tmp_path / "responses.csv"
     path.write_text(_text(CANONICAL, _edited(_rows(), 5, 2, huge)))
@@ -700,7 +701,7 @@ def test_scenario_ids_beyond_int64(tmp_path, catalog):
     if catalog is None:
         assert report.rejected == 0
         with pytest.raises(InvalidInputError) as exc:
-            bundle.selection_vectors("rewarded1", 4)
+            bundle.snapshot("rewarded1", 4)
         assert str(exc.value) == (
             f"dataset: participant 'p1' answers scenario ids [{huge}] outside 1..4 "
             "in condition 'rewarded1'"
@@ -749,17 +750,17 @@ def test_digit_columns_convert_by_position():
     assert values.tolist() == [22, 3, 7] and texts == {b"22": 22, b"+3": 3, b"7": 7}
 
 
-def _reference_vectors(table, m, z, provenance="dataset", condition="c"):
-    """``selection_vectors`` one participant at a time, in sorted id order:
-    the first participant with a scenario id above m, or with a selection
-    outside 1..z in a complete set, raises; the vectors and the incomplete
-    ids otherwise."""
+def _reference_rows(table, m, z, provenance="dataset", condition="c"):
+    """``snapshot`` one participant at a time, in sorted id order: the first
+    participant with a scenario id above m, or with a selection outside 1..z
+    in a complete set, raises ``SelectionVector``'s message; the rows and the
+    incomplete ids otherwise."""
     ids, offsets = table.participant_ids, table.offsets.tolist()
     answers = {
         pid: dict(zip(table.scenario_ids[a:b].tolist(), table.selections[a:b].tolist()))
         for pid, a, b in zip(ids, offsets, offsets[1:])
     }
-    vectors, incomplete = {}, []
+    rows, incomplete = [], []
     for pid in sorted(answers):
         chosen = answers[pid]
         if max(chosen) > m:
@@ -768,25 +769,30 @@ def _reference_vectors(table, m, z, provenance="dataset", condition="c"):
                 f"{sorted(j for j in chosen if j > m)} outside 1..{m} in condition '{condition}'"
             )
         if len(chosen) == m:
-            vectors[pid] = SelectionVector([chosen[j] for j in range(1, m + 1)], z)
+            sv = SelectionVector([chosen[j] for j in range(1, m + 1)], z)
+            rows.append((pid, sv.selections.tolist(), sv.z))
         else:
             incomplete.append(pid)
-    return vectors, incomplete
+    return rows, incomplete
 
 
-def _vectors_outcome(read):
+def _rows_outcome(read):
     try:
-        vectors, incomplete = read()
+        return read()
     except DataCollectiveError as exc:
         return type(exc), str(exc)
-    return [(pid, sv.selections.tolist(), sv.z) for pid, sv in vectors.items()], incomplete
 
 
-def test_selection_vectors_match_a_per_participant_reference(tmp_path):
-    """On generated files read by both readers: the sorted id order, the
-    incomplete participants, a participant outside 1..m among the others,
-    and a complete participant with a selection above z before it, which
-    must raise first."""
+def _snapshot_rows(snapshot):
+    return [] if snapshot is None else [(pid, row, snapshot.z) for pid, row in rows_of(snapshot)]
+
+
+def test_snapshot_matches_a_per_participant_reference(tmp_path):
+    """A condition's snapshot against ``SelectionVector`` built one
+    participant at a time, on generated files read by both readers: the
+    sorted id order, the incomplete participants, a participant outside 1..m
+    among the others, and a complete participant with a selection above z
+    before it, which must raise the constructor's message first."""
     rng = np.random.default_rng(20261020)
     path = tmp_path / "responses.csv"
     outcomes = set()
@@ -813,13 +819,13 @@ def test_selection_vectors_match_a_per_participant_reference(tmp_path):
         for tables in (blocks[0], loop[0]):
             bundle = ingest_module.DatasetBundle(tables, {})
             report = ingest_module.IngestReport()
-            got = _vectors_outcome(lambda: (
-                bundle.selection_vectors("c", m, z, report),
+            got = _rows_outcome(lambda: (
+                _snapshot_rows(bundle.snapshot("c", m, z, report)),
                 report.dropped.get("c", {}).get("incomplete", []),
             ))
-            expected = _vectors_outcome(lambda: _reference_vectors(tables["c"], m, z))
+            expected = _rows_outcome(lambda: _reference_rows(tables["c"], m, z))
             assert got == expected, (case, rows)
             outcomes.add("outside" if "outside" in str(got[1]) else
-                         "selections" if "selections must" in str(got[1]) else "vectors")
+                         "selections" if "selections must" in str(got[1]) else "rows")
     # every kind of outcome is met
-    assert outcomes == {"vectors", "outside", "selections"}
+    assert outcomes == {"rows", "outside", "selections"}

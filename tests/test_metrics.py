@@ -17,8 +17,8 @@ from datacollective.metrics import (
     write_mismatch_csv,
     write_scenario_privacy_csv,
 )
-from datacollective.population import CONDITIONS, build_portfolio
-from datacollective.sharing import RewardModel, SelectionVector
+from datacollective.population import CONDITIONS, build_portfolios
+from datacollective.sharing import RewardModel
 
 
 def snapshot_from_matrix(label, matrix, z=5):
@@ -46,15 +46,6 @@ class TestScenarioPrivacy:
     def test_empty_snapshot_rejected(self):
         with pytest.raises(InvalidInputError):
             ConditionSnapshot("x", (), np.zeros((1, 0, 64)))
-
-    def test_from_selections_accepts_pairs(self):
-        pairs = [
-            ("a", SelectionVector(np.full(64, 2))),
-            ("b", SelectionVector(np.full(64, 4))),
-        ]
-        snap = ConditionSnapshot.from_selections("x", pairs)
-        assert snap.participant_ids == ("a", "b")
-        assert snap.mean_privacy() == pytest.approx(0.5)
 
 
 class TestExpectedPrivacy:
@@ -147,17 +138,14 @@ class TestCollectionCost:
 
     def test_intrinsic_plans_can_be_free(self, catalog):
         rng = np.random.default_rng(44)
-        sims = {}
-        for i in range(6):
-            sims[f"p{i}"] = {
-                c: SelectionVector(rng.integers(1, 6, size=64)) for c in CONDITIONS
-            }
-        portfolios = [build_portfolio(pid, conds) for pid, conds in sims.items()]
+        ids = tuple(f"p{i}" for i in range(6))
+        draws = rng.integers(1, 6, size=(len(CONDITIONS), 6, 64))
+        portfolios = build_portfolios(ids, dict(zip(CONDITIONS, draws)), 5)
         goal = GoalSignal(5, rng.random(64))
         runs = coordinate(portfolios, goal, CostWeights(), iterations=8,
                           repetitions=2, seed=1)
         snap = ConditionSnapshot.from_runs("coordinated", runs, portfolios)
-        profiles = self.make_profiles(catalog, tuple(sims))
+        profiles = self.make_profiles(catalog, ids)
         with_value = collection_cost(snap, profiles, RewardModel(), catalog)
         without = collection_cost(
             snap, profiles, RewardModel(), catalog, include_intrinsic_value=False

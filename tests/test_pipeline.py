@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         config = small_config(tmp_path / "out", goal_level=1, alpha=0.25)
         path = tmp_path / "config.json"
-        config.to_json(path)
+        path.write_text(json.dumps(asdict(config)), encoding="utf-8")
         loaded = ExperimentConfig.from_json(path)
         assert loaded == config
         assert loaded.config_hash() == config.config_hash()

@@ -16,7 +16,7 @@ from datacollective.population import (
     REWARD_SEEKER,
     GroupBehavior,
     _RawStreams,
-    build_portfolio,
+    build_portfolios,
     default_behaviors,
     extract_groups,
     generate_population,
@@ -156,7 +156,7 @@ class TestSimulateCondition:
         run = simulate_conditions(
             population.participants, "intrinsic", 64, catalog, RewardModel()
         )
-        assert privacy_score(run.selections[0]) == 1.0
+        assert privacy_score(SelectionVector(run.selections[0])) == 1.0
         assert len(run.events) == 64
 
     def test_opportunist_privacy_ordering(self, catalog):
@@ -171,7 +171,7 @@ class TestSimulateCondition:
                     [participant], condition, 128, catalog, RewardModel(),
                     contention=population.contention,
                 )
-                sims[condition] = run.selections[0]
+                sims[condition] = SelectionVector(run.selections[0])
             intrinsic.append(privacy_score(sims["intrinsic"]))
             rewarded.append(privacy_score(sims["rewarded1"]))
         assert np.mean(intrinsic) > np.mean(rewarded)
@@ -189,7 +189,7 @@ class TestSimulateCondition:
             run = simulate_conditions([participant], "rewarded1", 192, catalog, RewardModel())
             last_first_pass = [e for e in run.events if e.goal == "first_pass"][-1]
             first_pass.append(last_first_pass.privacy_after)
-            final.append(privacy_score(run.selections[0]))
+            final.append(privacy_score(SelectionVector(run.selections[0])))
         assert abs(np.mean(final) - np.mean(first_pass)) < 0.06
 
     def test_rewarded_needs_full_first_pass(self, catalog):
@@ -206,19 +206,18 @@ class TestSimulateCondition:
         population = generate_population(6, master_seed=11)
         a = simulate_population(population, steps=90)
         b = simulate_population(population, steps=90)
-        for pid in a:
-            for condition in CONDITIONS:
-                assert np.array_equal(
-                    a[pid][condition].selections, b[pid][condition].selections
-                )
+        assert list(a) == list(CONDITIONS)
+        for condition in CONDITIONS:
+            assert a[condition].shape == (6, 64)
+            assert np.array_equal(a[condition], b[condition])
 
     def test_group_privacy_ordering_on_defaults(self):
         population = generate_population(84, master_seed=0)
         sims = simulate_population(population, steps=128)
         rewarded = {}
-        for participant in population.participants:
+        for participant, row in zip(population.participants, sims["rewarded1"]):
             rewarded.setdefault(participant.behavior.kind, []).append(
-                privacy_score(sims[participant.participant_id]["rewarded1"])
+                privacy_score(SelectionVector(row))
             )
         means = {kind: np.mean(vals) for kind, vals in rewarded.items()}
         assert means[PRIVACY_PRESERVER] > means[PRIVACY_NEUTRAL]
@@ -268,7 +267,7 @@ class TestLockstepKernel:
                     participant, condition, steps, catalog, reward_model,
                     population.contention,
                 )
-                assert np.array_equal(selection.selections, expected.selections)
+                assert np.array_equal(selection, expected.selections)
                 events += logged
                 lost += missed
             assert list(run.events) == events
@@ -292,6 +291,38 @@ class TestLockstepKernel:
                 lost += run.lost_steps
         assert lost > 0
         assert rows == n * (catalog.m + 2 * steps) - lost
+
+    @pytest.mark.parametrize(
+        "mode, budget, steps",
+        [("linear", Budget(), 192), ("geometric", Budget(), 192), ("linear", FLAT_BUDGET, 448)],
+    )
+    def test_rows_never_read_each_other(self, catalog, mode, budget, steps):
+        """A participant's selections and logged steps do not depend on who
+        else runs with it: every row of a run on a subset of the participants,
+        in any order, equals that participant's row of the full run bit for
+        bit, up to the steps it took."""
+        population = generate_population(40, master_seed=3)
+        reward_model = RewardModel(budget, mode)
+        columns = ("goal", "scenario_id", "option", "rewards_after", "privacy_after")
+        for condition in CONDITIONS:
+            full = simulate_conditions(
+                population.participants, condition, steps, catalog, reward_model,
+                population.contention,
+            )
+            for subset in (np.arange(1, 40, 3), np.array([39, 7, 22, 8, 0])):
+                part = simulate_conditions(
+                    [population.participants[i] for i in subset], condition, steps,
+                    catalog, reward_model, population.contention,
+                )
+                assert np.array_equal(part.selections, full.selections[subset])
+                assert np.array_equal(part.events.taken, full.events.taken[subset])
+                for row, i in enumerate(subset):
+                    k = full.events.taken[i]
+                    for column in columns:
+                        assert (
+                            getattr(part.events, column)[row, :k].tobytes()
+                            == getattr(full.events, column)[i, :k].tobytes()
+                        ), (condition, i, column)
 
 
 PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
@@ -373,37 +404,51 @@ class TestStreamEmulator:
         assert streams.raw.shape[1] > 3
 
 
+def one_portfolio(levels, z=5):
+    """The portfolio of one participant with ``levels`` in every condition."""
+    block = np.asarray(levels)[None, :]
+    (portfolio,) = build_portfolios(("p",), {c: block for c in CONDITIONS}, z)
+    return portfolio
+
+
 class TestPortfolios:
     def test_share_nothing_plan(self):
-        sv = SelectionVector(np.full(64, 5))
-        portfolio = build_portfolio("p", {c: sv for c in CONDITIONS})
+        portfolio = one_portfolio(np.full(64, 5))
         for plan in portfolio.plans:
             assert plan.values == pytest.approx(np.zeros(64))
             assert plan.local_cost == 0.0
 
     def test_share_everything_plan(self):
-        sv = SelectionVector(np.full(64, 1))
-        portfolio = build_portfolio("p", {c: sv for c in CONDITIONS})
+        portfolio = one_portfolio(np.full(64, 1))
         assert portfolio.plans[0].values == pytest.approx(np.ones(64))
         assert portfolio.plans[0].local_cost == 1.0
 
     def test_cost_is_mean_of_values(self):
         rng = np.random.default_rng(14)
-        sv = SelectionVector(rng.integers(1, 6, size=64))
-        portfolio = build_portfolio("p", {c: sv for c in CONDITIONS})
+        portfolio = one_portfolio(rng.integers(1, 6, size=64))
         plan = portfolio.plans[0]
         assert plan.local_cost == pytest.approx(plan.values.mean())
         assert np.all((plan.values >= 0) & (plan.values <= 1))
 
     def test_missing_condition(self):
-        sv = SelectionVector(np.full(64, 3))
         with pytest.raises(IncompletePortfolioError):
-            build_portfolio("p", {"intrinsic": sv})
+            build_portfolios(("p",), {"intrinsic": np.full((1, 64), 3)}, 5)
 
     def test_labels_follow_conditions(self):
-        sv = SelectionVector(np.full(4, 2))
-        portfolio = build_portfolio("p", {c: sv for c in CONDITIONS})
+        portfolio = one_portfolio(np.full(4, 2))
         assert tuple(p.label for p in portfolio.plans) == CONDITIONS
+
+    def test_rows_match_one_participant_at_a_time(self):
+        """Each participant's plans and costs from the stacked blocks equal
+        those computed from its own rows alone, bit for bit."""
+        rng = np.random.default_rng(15)
+        ids = ("a", "b", "c", "d")
+        blocks = {c: rng.integers(1, 4, size=(4, 9)) for c in CONDITIONS}
+        for i, portfolio in enumerate(build_portfolios(ids, blocks, 3)):
+            assert portfolio.agent_id == ids[i]
+            expected = np.array([(3 - blocks[c][i]) / 2 for c in CONDITIONS])
+            assert np.array_equal(portfolio.values, expected)
+            assert np.array_equal(portfolio.costs, expected.mean(axis=1))
 
 
 class TestPopulationSpec:

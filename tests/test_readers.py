@@ -15,6 +15,7 @@ import pytest
 from datacollective import coordination, sharing
 from datacollective.coordination import read_portfolio_dir
 from datacollective.errors import InvalidInputError
+from datacollective.metrics import ConditionSnapshot
 from datacollective.pipeline import ExperimentConfig, run_pipeline
 from datacollective.sharing import (
     WEIGHT_TOL,
@@ -291,21 +292,8 @@ def test_portfolio_rows_skip_the_plan_checks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# SelectionVector.rows
-
-
-def test_selection_rows_are_read_only_views():
-    block = np.array([[1, 2, 3], [5, 4, 1]])
-    rows = SelectionVector.rows(block, 5)
-    assert [(sv.selections.tolist(), sv.z, sv.m) for sv in rows] == [
-        ([1, 2, 3], 5, 3), ([5, 4, 1], 5, 3)
-    ]
-    for sv in rows:
-        assert sv.selections.dtype == np.intp
-        with pytest.raises(ValueError):
-            sv.selections[0] = 2
-    block[0, 0] = 2  # the caller's block stays writable
-    assert SelectionVector.rows(np.zeros((0, 3), dtype=int), 5) == ()
+# Selection blocks: ConditionSnapshot checks SelectionVector's rules once on
+# the whole block
 
 
 @pytest.mark.parametrize(
@@ -323,5 +311,5 @@ def test_selection_rows_raise_the_constructor_message(block, z):
         for row in block:
             SelectionVector(np.array(row, dtype=int), z)
     with pytest.raises(InvalidInputError) as exc:
-        SelectionVector.rows(np.array(block, dtype=int), z)
+        ConditionSnapshot("c", ("a", "b"), np.array(block, dtype=int), z)
     assert str(exc.value) == str(expected.value)
